@@ -60,7 +60,6 @@ CONFIG_KEYS = frozenset(
         "adagrad_epsilon",
         "composition",
         "init_sigma",
-        "threads",
         "checkpoint_every",
     }
 )
@@ -131,7 +130,6 @@ _CONFIG_PARSERS = {
     "adagrad_epsilon": (float, "adagrad_epsilon"),
     "composition": (str, "composition"),
     "init_sigma": (float, "init_sigma"),
-    "threads": (int, "threads"),
     "checkpoint_every": (int, "checkpoint_every"),
 }
 
@@ -225,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "--composition", choices=("add", "bi"), help="composition function (default: add)")
     _add(p, "--adagrad-epsilon", type=float, help="AdaGrad denominator epsilon (default: 1e-08)")
     _add(p, "--init-sigma", type=float, help="Gaussian init std (default: 0.1)")
-    _add(p, "--threads", type=int, help="worker threads; 1 is the deterministic mode (default: 1)")
     _add(p, "--bilingual-limit", type=int, help="use only the first N sentence pairs")
     p.add_argument("--no-mono", action="store_true", help="ignore monolingual corpora")
     p.add_argument("--mono-use-parallel", action="store_true",
@@ -377,7 +374,7 @@ def _merge_train_settings(args) -> tuple[TrainConfig, dict]:
     for field in (
         "dim", "learning_rate", "batch_size", "margin", "lam", "epochs_bi_only",
         "epochs_with_mono", "epochs", "mix", "seed", "adagrad_epsilon",
-        "composition", "init_sigma", "threads",
+        "composition", "init_sigma",
     ):
         if field in file_settings:
             kwargs[field] = file_settings[field]

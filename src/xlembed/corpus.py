@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, DataError, SamplingError
+from .errors import AlignmentError, DataError, SamplingError
 
 UNK_TOKEN = "<unk>"
 UNK_ID = 0
@@ -40,23 +40,6 @@ def lowercase_ratio(raw_sentence: str) -> float:
         elif not ch.isspace():
             other += 1
     return lower / other if other else float("inf")
-
-
-@dataclass
-class PreprocessConfig:
-    """Filter and UNK settings for one corpus."""
-
-    unk_threshold: int = 1
-    lowercase_cutoff: float = 0.9
-    min_sentence_len: int = 3
-
-    def __post_init__(self):
-        if self.unk_threshold < 1:
-            raise ConfigError(f"unk_threshold must be >= 1, got {self.unk_threshold}")
-        if not 0.0 <= self.lowercase_cutoff <= 1.0:
-            raise ConfigError(
-                f"lowercase_cutoff must be in [0, 1], got {self.lowercase_cutoff}"
-            )
 
 
 def passes_filter(line: str, cutoff: float, min_len: int = 3) -> bool:

@@ -126,17 +126,22 @@ def l2_regularizer(tables: TablePair, lam: float) -> float:
 # sparse gradient accumulation
 
 
+# inputs of up to this many gradient entries are coalesced in one bincount
+_FLAT_CELLS = 1 << 20
+
+
 class GradientAccumulator:
     """Sparse map (language_tag, word_id) -> d-vector of summed gradients.
 
     Scatter updates are appended as chunks (an id array plus matching rows)
-    and coalesced into unique rows on demand. Accumulators built by
-    independent workers merge by sparse addition.
+    and summed into unique rows by :meth:`coalesce`, whose result stays
+    readable as ``coalesced`` until the next :meth:`add`.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self._chunks: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self.coalesced: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
 
     def add(self, tag: str, ids, rows) -> None:
         ids = np.asarray(ids, dtype=np.int64).ravel()
@@ -147,12 +152,7 @@ class GradientAccumulator:
             raise DataError(f"gradient chunk shape {rows.shape} does not match ids {ids.size}")
         if ids.size:
             self._chunks.setdefault(tag, []).append((ids, rows))
-
-    def merge(self, other: "GradientAccumulator") -> None:
-        if other.dim != self.dim:
-            raise DataError("cannot merge accumulators of different dims")
-        for tag, chunks in other._chunks.items():
-            self._chunks.setdefault(tag, []).extend(chunks)
+            self.coalesced = None
 
     def coalesce(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Unique ids per language with their summed gradient rows; collapses
@@ -165,13 +165,25 @@ class GradientAccumulator:
                 ids_all = np.concatenate([c[0] for c in chunks])
                 rows_all = np.concatenate([np.ascontiguousarray(c[1]) for c in chunks])
             unique, inverse = np.unique(ids_all, return_inverse=True)
-            summed = np.zeros((unique.size, self.dim), dtype=np.float64)
-            for j in range(self.dim):
-                summed[:, j] = np.bincount(
-                    inverse, weights=rows_all[:, j], minlength=unique.size
-                )
+            # Both branches add each (row, column) cell's terms in input
+            # order starting from zero, so their sums are bit-identical.
+            # Small inputs take one bincount over flattened cells (per-call
+            # overhead dominates there); large ones go column by column,
+            # which builds no index array of positions x dim entries.
+            if rows_all.size <= _FLAT_CELLS:
+                cells = (inverse[:, None] * self.dim + np.arange(self.dim)).ravel()
+                summed = np.bincount(
+                    cells, weights=rows_all.ravel(), minlength=unique.size * self.dim
+                ).reshape(unique.size, self.dim)
+            else:
+                summed = np.zeros((unique.size, self.dim), dtype=np.float64)
+                for j in range(self.dim):
+                    summed[:, j] = np.bincount(
+                        inverse, weights=rows_all[:, j], minlength=unique.size
+                    )
             self._chunks[tag] = [(unique, summed)]
             out[tag] = (unique, summed)
+        self.coalesced = out
         return out
 
     def get(self, tag: str, word_id: int) -> np.ndarray:
@@ -198,21 +210,18 @@ class GradientAccumulator:
 # batch loss and gradient
 
 
-def _pair_term(batch: PairBatch, tables: TablePair, kind, acc, touched) -> float:
+def _pair_term(batch: PairBatch, tables: TablePair, kind, acc) -> float:
     w1 = tables.by_tag(batch.tag_l1)
     w2 = tables.by_tag(batch.tag_l2)
     c1 = SpanComposition(kind, w1.matrix, batch.side_l1)
     c2 = SpanComposition(kind, w2.matrix, batch.side_l2)
     diff = c1.values - c2.values
-    touched[batch.tag_l1].append(batch.side_l1.ids)
-    touched[batch.tag_l2].append(batch.side_l2.ids)
-    if acc is not None:
-        acc.add(batch.tag_l1, batch.side_l1.ids, c1.position_grads(2.0 * diff))
-        acc.add(batch.tag_l2, batch.side_l2.ids, c2.position_grads(-2.0 * diff))
+    acc.add(batch.tag_l1, batch.side_l1.ids, c1.position_grads(2.0 * diff))
+    acc.add(batch.tag_l2, batch.side_l2.ids, c2.position_grads(-2.0 * diff))
     return float((diff * diff).sum())
 
 
-def _triple_term(batch: TripleBatch, tables: TablePair, kind, margin, acc, touched) -> float:
+def _triple_term(batch: TripleBatch, tables: TablePair, kind, margin, acc) -> float:
     table = tables.by_tag(batch.language_tag)
     co = SpanComposition(kind, table.matrix, batch.outer)
     ci = SpanComposition(kind, table.matrix, batch.inner)
@@ -225,17 +234,14 @@ def _triple_term(batch: TripleBatch, tables: TablePair, kind, margin, acc, touch
     hinge = margin + d_in - d_no
     active = hinge > 0.0
     loss = float(((np.where(active, hinge, 0.0) + d_in) * ratio).sum())
-    for span in (batch.outer, batch.inner, batch.noise):
-        touched[batch.language_tag].append(span.ids)
-    if acc is not None:
-        a = active.astype(np.float64)
-        r = ratio[:, None]
-        up_out = r * ((1.0 + a)[:, None] * 2.0 * diff_in - a[:, None] * 2.0 * diff_no)
-        up_in = -r * (1.0 + a)[:, None] * 2.0 * diff_in
-        up_noise = (a * ratio)[:, None] * 2.0 * diff_no
-        acc.add(batch.language_tag, batch.outer.ids, co.position_grads(up_out))
-        acc.add(batch.language_tag, batch.inner.ids, ci.position_grads(up_in))
-        acc.add(batch.language_tag, batch.noise.ids, cn.position_grads(up_noise))
+    a = active.astype(np.float64)
+    r = ratio[:, None]
+    up_out = r * ((1.0 + a)[:, None] * 2.0 * diff_in - a[:, None] * 2.0 * diff_no)
+    up_in = -r * (1.0 + a)[:, None] * 2.0 * diff_in
+    up_noise = (a * ratio)[:, None] * 2.0 * diff_no
+    acc.add(batch.language_tag, batch.outer.ids, co.position_grads(up_out))
+    acc.add(batch.language_tag, batch.inner.ids, ci.position_grads(up_in))
+    acc.add(batch.language_tag, batch.noise.ids, cn.position_grads(up_noise))
     return loss
 
 
@@ -261,14 +267,16 @@ def batch_loss_and_grad(
     kind="add",
     margin: float = 40.0,
     lam: float = 1.0,
-    include_grad: bool = True,
 ) -> tuple[LossBreakdown, GradientAccumulator]:
-    """Summed loss over a mixed batch plus its exact sparse gradient.
+    """Summed loss over a mixed batch plus its exact sparse gradient; the
+    one batch path, shared by training and the gradient oracles.
 
     Sample arguments may be lists of SentencePair / PhraseTriple objects or
     the pre-packed PairBatch / TripleBatch forms; empty sources may be None.
-    Rows touched by several samples accumulate additively. The regularizer
-    follows the stochastic schedule: every touched row w contributes
+    Rows touched by several samples accumulate additively. The returned
+    accumulator is already coalesced: ``acc.coalesced`` holds the unique ids
+    and summed rows per language. The regularizer follows the stochastic
+    schedule on exactly those ids: every touched row w contributes
     lam_eff * ||w||^2 with gradient 2 * lam_eff * w, where
     lam_eff = lam * touched_rows / total_rows.
     """
@@ -278,7 +286,6 @@ def batch_loss_and_grad(
     if lam < 0:
         raise DataError(f"lambda must be >= 0, got {lam}")
     acc = GradientAccumulator(tables.dim)
-    grad_acc = acc if include_grad else None
 
     pair_batch = _as_pair_batch(bi_samples)
     tag1, tag2 = tables.tags
@@ -289,31 +296,31 @@ def batch_loss_and_grad(
     if triple_l2 is not None and triple_l2.language_tag != tag2:
         raise DataError(f"mono_samples_l2 carries tag {triple_l2.language_tag!r}, expected {tag2!r}")
 
-    pools: dict[str, list[np.ndarray]] = {tag1: [], tag2: []}
-    l_bi = _pair_term(pair_batch, tables, kind, grad_acc, pools) if pair_batch else 0.0
-    l_m1 = _triple_term(triple_l1, tables, kind, margin, grad_acc, pools) if triple_l1 else 0.0
-    l_m2 = _triple_term(triple_l2, tables, kind, margin, grad_acc, pools) if triple_l2 else 0.0
+    l_bi = _pair_term(pair_batch, tables, kind, acc) if pair_batch else 0.0
+    l_m1 = _triple_term(triple_l1, tables, kind, margin, acc) if triple_l1 else 0.0
+    l_m2 = _triple_term(triple_l2, tables, kind, margin, acc) if triple_l2 else 0.0
 
+    # the coalesced ids are the touched set; regularizer rows are added
+    # after the data sums, so every per-row sum keeps a fixed order
+    grads = acc.coalesce()
     reg = 0.0
-    if lam > 0.0:
-        touched = {t: np.unique(np.concatenate(p)) for t, p in pools.items() if p}
-        n_touched = sum(ids.size for ids in touched.values())
-        if n_touched:
-            lam_eff = lam * n_touched / tables.total_rows
-            for tag, ids in touched.items():
+    n_touched = sum(ids.size for ids, _ in grads.values())
+    if lam > 0.0 and n_touched:
+        lam_eff = lam * n_touched / tables.total_rows
+        for tag in (tag1, tag2):
+            if tag in grads:
+                ids, summed = grads[tag]
                 rows = tables.by_tag(tag).matrix[ids].astype(np.float64, copy=False)
                 reg += lam_eff * float((rows * rows).sum())
-                if grad_acc is not None:
-                    grad_acc.add(tag, ids, 2.0 * lam_eff * rows)
+                summed += 2.0 * lam_eff * rows
 
     return LossBreakdown.of(l_bi, l_m1, l_m2, reg), acc
 
 
 def batch_loss(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind="add",
                margin: float = 40.0, lam: float = 1.0) -> LossBreakdown:
-    """Loss-only evaluation (used by finite-difference oracles)."""
-    breakdown, _ = batch_loss_and_grad(
-        bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, lam,
-        include_grad=False,
-    )
-    return breakdown
+    """The loss part of :func:`batch_loss_and_grad` (used by
+    finite-difference oracles)."""
+    return batch_loss_and_grad(
+        bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, lam
+    )[0]

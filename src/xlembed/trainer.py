@@ -1,19 +1,17 @@
 """Stochastic mini-batch AdaGrad training over mixed bilingual and
 monolingual sample streams, with checkpointing and deterministic replay.
 
-The normative mode is single-threaded and bit-deterministic for a fixed
-seed, including across a checkpoint/resume boundary. An optional threaded
-mode computes the per-source gradients concurrently and merges the sparse
-accumulators before the serial update; it keeps all invariants but is not
-held to bit-determinism.
+Each step computes the batch loss and its coalesced sparse gradient with
+:func:`xlembed.objective.batch_loss_and_grad`, then applies AdaGrad to
+exactly the touched rows. Training is bit-deterministic for a fixed seed,
+including across a checkpoint/resume boundary.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,7 +24,7 @@ from .corpus import (
 )
 from .embeddings import CompositionKind, EmbeddingTable, TablePair, init_table
 from .errors import ConfigError, DataError, TrainingError
-from .objective import GradientAccumulator, LossBreakdown, _pair_term, _triple_term
+from .objective import LossBreakdown, batch_loss_and_grad
 
 # used whenever no --seed is given, so unseeded runs are still reproducible
 DEFAULT_SEED = 42
@@ -54,7 +52,6 @@ class TrainConfig:
     adagrad_epsilon: float = 1e-8
     composition: str = "add"
     init_sigma: float = 0.1
-    threads: int = 1
 
     def resolved_margin(self) -> float:
         return float(self.dim if self.margin is None else self.margin)
@@ -74,8 +71,6 @@ class TrainConfig:
             raise ConfigError(f"adagrad_epsilon must be positive, got {self.adagrad_epsilon}")
         if self.init_sigma <= 0:
             raise ConfigError(f"init_sigma must be positive, got {self.init_sigma}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         for name in ("epochs_bi_only", "epochs_with_mono"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -196,66 +191,15 @@ def make_batch(data: TrainingData, config: TrainConfig, mix, rng) -> Batch:
     return batch
 
 
-def _batch_gradients(batch: Batch, tables: TablePair, config: TrainConfig):
-    """Data losses and the merged sparse gradient, optionally sharded by
-    source across threads; the stochastic regularizer is applied once on the
-    merged touched set."""
-    kind = CompositionKind.coerce(config.composition)
-    margin = config.resolved_margin()
-
-    tasks = []
-    if batch.pairs is not None and batch.pairs.n:
-        tasks.append(("bi", _pair_term, batch.pairs))
-    if batch.mono_l1 is not None and batch.mono_l1.n:
-        tasks.append(("m1", _triple_term, batch.mono_l1))
-    if batch.mono_l2 is not None and batch.mono_l2.n:
-        tasks.append(("m2", _triple_term, batch.mono_l2))
-
-    def run(task):
-        name, fn, b = task
-        acc = GradientAccumulator(tables.dim)
-        pools: dict[str, list] = {tables.tags[0]: [], tables.tags[1]: []}
-        if fn is _pair_term:
-            loss = fn(b, tables, kind, acc, pools)
-        else:
-            loss = fn(b, tables, kind, margin, acc, pools)
-        return name, loss, acc, pools
-
-    if config.threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as ex:
-            results = list(ex.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-
-    losses = {"bi": 0.0, "m1": 0.0, "m2": 0.0}
-    acc = GradientAccumulator(tables.dim)
-    pools: dict[str, list] = {tables.tags[0]: [], tables.tags[1]: []}
-    for name, loss, shard_acc, shard_pools in results:
-        losses[name] += loss
-        acc.merge(shard_acc)
-        for tag, parts in shard_pools.items():
-            pools[tag].extend(parts)
-
-    reg = 0.0
-    if config.lam > 0.0:
-        touched = {t: np.unique(np.concatenate(p)) for t, p in pools.items() if p}
-        n_touched = sum(ids.size for ids in touched.values())
-        if n_touched:
-            lam_eff = config.lam * n_touched / tables.total_rows
-            for tag, ids in touched.items():
-                rows = tables.by_tag(tag).matrix[ids].astype(np.float64, copy=False)
-                reg += lam_eff * float((rows * rows).sum())
-                acc.add(tag, ids, 2.0 * lam_eff * rows)
-
-    return LossBreakdown.of(losses["bi"], losses["m1"], losses["m2"], reg), acc
-
-
 def train_step(batch: Batch, tables: TablePair, state: AdaGradState, config: TrainConfig) -> LossBreakdown:
     """One optimization step: batch gradient, then AdaGrad on exactly the
     touched rows."""
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises in the update
-        breakdown, acc = _batch_gradients(batch, tables, config)
-    for tag, (ids, grads) in acc.coalesce().items():
+        breakdown, acc = batch_loss_and_grad(
+            batch.pairs, batch.mono_l1, batch.mono_l2, tables,
+            config.composition, config.resolved_margin(), config.lam,
+        )
+    for tag, (ids, grads) in acc.coalesced.items():
         apply_sparse_update(
             tables.by_tag(tag), state.g_by_tag[tag], ids, grads,
             config.learning_rate, config.adagrad_epsilon,
@@ -304,6 +248,9 @@ def load_checkpoint(path):
         )
         state = AdaGradState({tag1: z["g_l1"].copy(), tag2: z["g_l2"].copy()})
         raw = json.loads(str(z["config"]))
+        unknown = sorted(set(raw) - {f.name for f in fields(TrainConfig)})
+        if unknown:
+            raise DataError(f"{path}: checkpoint config has unknown keys {unknown}")
         if raw.get("mix") is not None:
             raw["mix"] = tuple(raw["mix"])
         config = TrainConfig(**raw)

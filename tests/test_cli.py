@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from xlembed.cli import main
 from xlembed.corpus import EncodedCorpus, Vocabulary
 from xlembed.embeddings import load_embeddings_text
+from xlembed.errors import DataError
 from xlembed.evaluate import US
+from xlembed.trainer import load_checkpoint
 
 
 @pytest.fixture
@@ -195,6 +198,23 @@ class TestTrainCommand:
         assert code == 3
         assert "numeric" in capsys.readouterr().err
         assert (outdir / "checkpoint.npz").exists()  # flushed on abort
+
+    def test_checkpoint_with_unknown_config_key_is_data_error(self, prepared, tmp_path, capsys):
+        outdir = tmp_path / "model"
+        assert main(train_args(prepared, outdir)) == 0
+        ck = outdir / "checkpoint.npz"
+        with np.load(ck) as z:
+            arrays = dict(z)
+        config = json.loads(str(arrays["config"]))
+        config["threads"] = 1  # a key that TrainConfig does not have
+        arrays["config"] = np.array(json.dumps(config))
+        np.savez(ck, **arrays)
+        with pytest.raises(DataError, match="threads"):
+            load_checkpoint(ck)
+        capsys.readouterr()
+        code = main(train_args(prepared, tmp_path / "resumed", "--resume-from", str(ck)))
+        assert code == 2
+        assert "threads" in capsys.readouterr().err
 
 
 class TestExportCommand:

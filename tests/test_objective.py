@@ -185,6 +185,29 @@ class TestRegularizer:
         assert breakdown.regularizer == pytest.approx(lam_eff * 25.0)
         assert np.allclose(acc.get("en", 0), 2 * lam_eff * np.array([3.0, 4.0]))
 
+    def test_row_shared_across_sources_counts_once(self):
+        # en row 1 is on the pair's l1 side and in the l1 triple; the data
+        # terms vanish (equal pair vectors, outer == inner == noise, margin
+        # 0), so the whole gradient is the regularizer's
+        tables = self._tables([[0.0, 0.0], [3.0, 4.0], [1.0, 2.0]], [[0.0, 0.0], [3.0, 4.0]])
+        pair = SentencePair(Sentence(np.array([1]), "en"), Sentence(np.array([1]), "de"))
+        triple = PhraseTriple(
+            outer_sentence=np.array([1, 2, 1]),
+            outer_start=0, outer_end=3, inner_start=0, inner_end=3,
+            noise_sentence=np.array([1, 2, 1]), noise_start=0, noise_end=3,
+            language_tag="en",
+        )
+        breakdown, acc = batch_loss_and_grad([pair], [triple], None, tables, "add", 0.0, 1.0)
+        assert breakdown.bilingual == 0.0 and breakdown.mono_l1 == 0.0
+        assert acc.touched_rows() == 3  # en {1, 2} and de {1}, not 4
+        lam_eff = 1.0 * 3 / 5
+        assert breakdown.regularizer == pytest.approx(lam_eff * (25.0 + 5.0 + 25.0))
+        en_ids, en_grads = acc.coalesced["en"]
+        de_ids, de_grads = acc.coalesced["de"]
+        assert en_ids.tolist() == [1, 2] and de_ids.tolist() == [1]
+        assert np.allclose(en_grads, 2 * lam_eff * np.array([[3.0, 4.0], [1.0, 2.0]]))
+        assert np.allclose(de_grads, 2 * lam_eff * np.array([[3.0, 4.0]]))
+
     def test_pure_regularizer_shrinks_row_norms(self):
         from xlembed.trainer import AdaGradState, TrainConfig, train_step, Batch
         from xlembed.corpus import TripleBatch, SpanSet
@@ -346,16 +369,31 @@ class TestGradientAccumulator:
         acc.add("en", [3, 4, 3], np.array([1.0, -1.0]))
         assert acc.get("en", 3).tolist() == [2.0, -2.0]
 
-    def test_merge(self):
-        a = GradientAccumulator(2)
-        b = GradientAccumulator(2)
-        a.add("en", [1], np.array([1.0, 1.0]))
-        b.add("en", [1], np.array([2.0, 0.0]))
-        b.add("de", [0], np.array([5.0, 5.0]))
-        a.merge(b)
-        assert a.get("en", 1).tolist() == [3.0, 1.0]
-        assert a.get("de", 0).tolist() == [5.0, 5.0]
-        assert a.touched_rows() == 2
+    def test_coalesced_kept_until_next_add(self):
+        acc = GradientAccumulator(2)
+        assert acc.coalesced is None
+        acc.add("en", [1, 1], np.array([1.0, 1.0]))
+        out = acc.coalesce()
+        assert acc.coalesced is out
+        assert out["en"][1].tolist() == [[2.0, 2.0]]
+        acc.add("en", [2], np.array([1.0, 0.0]))
+        assert acc.coalesced is None
+
+    def test_flat_and_column_sums_are_bit_identical(self, monkeypatch):
+        from xlembed import objective
+
+        rng = np.random.default_rng(3)
+        ids = rng.integers(0, 30, 500)
+        rows = rng.normal(size=(500, 7)) * 10.0 ** rng.integers(-8, 8, size=(500, 1))
+        results = []
+        for limit in (rows.size, rows.size - 1):  # flattened, then column by column
+            monkeypatch.setattr(objective, "_FLAT_CELLS", limit)
+            acc = GradientAccumulator(7)
+            acc.add("en", ids[:200], rows[:200])
+            acc.add("en", ids[200:], rows[200:])
+            results.append(acc.coalesce()["en"])
+        assert np.array_equal(results[0][0], results[1][0])
+        assert results[0][1].tobytes() == results[1][1].tobytes()
 
     def test_shape_mismatch_rejected(self):
         acc = GradientAccumulator(3)

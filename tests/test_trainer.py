@@ -283,16 +283,6 @@ class TestTrainLoop:
         for g in result.state.g_by_tag.values():
             assert (g >= 0).all()
 
-    def test_threaded_mode_keeps_invariants(self):
-        data = small_data()
-        config = TrainConfig(dim=4, epochs=2, batch_size=64, threads=3)
-        result = train(data, config)
-        assert np.isfinite(result.tables.l1.matrix).all()
-        assert len(result.history) == 2
-        # threaded and serial runs agree here because merge order is fixed
-        serial = train(small_data(), TrainConfig(dim=4, epochs=2, batch_size=64, threads=1))
-        assert np.allclose(result.tables.l1.matrix, serial.tables.l1.matrix, atol=1e-9)
-
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
