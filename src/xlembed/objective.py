@@ -126,10 +126,6 @@ def l2_regularizer(tables: TablePair, lam: float) -> float:
 # sparse gradient accumulation
 
 
-# inputs of up to this many gradient entries are coalesced in one bincount
-_FLAT_CELLS = 1 << 20
-
-
 class GradientAccumulator:
     """Sparse map (language_tag, word_id) -> d-vector of summed gradients.
 
@@ -165,22 +161,11 @@ class GradientAccumulator:
                 ids_all = np.concatenate([c[0] for c in chunks])
                 rows_all = np.concatenate([np.ascontiguousarray(c[1]) for c in chunks])
             unique, inverse = np.unique(ids_all, return_inverse=True)
-            # Both branches add each (row, column) cell's terms in input
-            # order starting from zero, so their sums are bit-identical.
-            # Small inputs take one bincount over flattened cells (per-call
-            # overhead dominates there); large ones go column by column,
-            # which builds no index array of positions x dim entries.
-            if rows_all.size <= _FLAT_CELLS:
-                cells = (inverse[:, None] * self.dim + np.arange(self.dim)).ravel()
-                summed = np.bincount(
-                    cells, weights=rows_all.ravel(), minlength=unique.size * self.dim
-                ).reshape(unique.size, self.dim)
-            else:
-                summed = np.zeros((unique.size, self.dim), dtype=np.float64)
-                for j in range(self.dim):
-                    summed[:, j] = np.bincount(
-                        inverse, weights=rows_all[:, j], minlength=unique.size
-                    )
+            summed = np.zeros((unique.size, self.dim), dtype=np.float64)
+            for j in range(self.dim):
+                summed[:, j] = np.bincount(
+                    inverse, weights=rows_all[:, j], minlength=unique.size
+                )
             self._chunks[tag] = [(unique, summed)]
             out[tag] = (unique, summed)
         self.coalesced = out

@@ -379,22 +379,6 @@ class TestGradientAccumulator:
         acc.add("en", [2], np.array([1.0, 0.0]))
         assert acc.coalesced is None
 
-    def test_flat_and_column_sums_are_bit_identical(self, monkeypatch):
-        from xlembed import objective
-
-        rng = np.random.default_rng(3)
-        ids = rng.integers(0, 30, 500)
-        rows = rng.normal(size=(500, 7)) * 10.0 ** rng.integers(-8, 8, size=(500, 1))
-        results = []
-        for limit in (rows.size, rows.size - 1):  # flattened, then column by column
-            monkeypatch.setattr(objective, "_FLAT_CELLS", limit)
-            acc = GradientAccumulator(7)
-            acc.add("en", ids[:200], rows[:200])
-            acc.add("en", ids[200:], rows[200:])
-            results.append(acc.coalesce()["en"])
-        assert np.array_equal(results[0][0], results[1][0])
-        assert results[0][1].tobytes() == results[1][1].tobytes()
-
     def test_shape_mismatch_rejected(self):
         acc = GradientAccumulator(3)
         with pytest.raises(DataError):
