@@ -3,6 +3,8 @@
 The model parameters are nothing but one word-vector table per language.
 Spans compose either by plain addition or by summing tanh over the vector
 sums of adjacent word bigrams, which makes the result order sensitive.
+Batched composition (:class:`SpanComposition`) runs dimension-major, one
+block of embedding columns at a time, and builds no positions x dim array.
 """
 
 from __future__ import annotations
@@ -206,48 +208,84 @@ def compose_document(document, table: EmbeddingTable, kind) -> ComposedVector:
 
 
 # ---------------------------------------------------------------------------
-# batched composition over flat span sets
+# batched composition over flat span sets, one block of columns at a time
+
+# cells per column block: tiny batches take every column in one block,
+# benchmark-scale span sets one column per block
+BLOCK_CELLS = 1 << 16
+
+
+def column_blocks(dim: int, positions: int) -> list[slice]:
+    """Consecutive column slices covering ``dim`` columns, each holding at
+    most BLOCK_CELLS cells of a (dim, positions) array but at least one
+    column."""
+    k = BLOCK_CELLS // max(positions, 1)
+    if k >= dim:
+        return [slice(0, dim)]
+    k = max(k, 1)
+    return [slice(j, min(j + k, dim)) for j in range(0, dim, k)]
 
 
 def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Row sums of consecutive variable-length segments; empty segments sum
     to zero."""
-    ends = np.cumsum(lengths)
+    ends = lengths.cumsum()
     csum = np.empty((values.shape[0] + 1, values.shape[1]), dtype=values.dtype)
     csum[0] = 0.0
-    np.cumsum(values, axis=0, out=csum[1:])
+    values.cumsum(axis=0, out=csum[1:])
     return csum[ends] - csum[ends - lengths]
 
 
 class SpanComposition:
     """Composed vectors for a batch of spans plus the backward context needed
-    to push a per-span upstream gradient down to per-position rows."""
+    to push a per-span upstream gradient down to per-position gradients.
+
+    The work is dimension-major: each block of columns (:func:`column_blocks`)
+    gathers its columns for every position from ``matrix.T``, which is
+    contiguous when ``matrix`` is column-major (``np.asfortranarray``), so no
+    positions x dim array is ever built. ``values`` is C-ordered
+    (n_spans, d). Bi keeps only the tanh derivative of every bigram, as a
+    (d, n_positions) array indexed by the bigram's first position.
+    """
 
     def __init__(self, kind, matrix: np.ndarray, span: SpanSet):
         self.kind = CompositionKind.coerce(kind)
         self.span = span
-        rows = matrix[span.ids]
+        columns = matrix.T
+        dim = columns.shape[0]
+        self.values = np.empty((span.n, dim), dtype=matrix.dtype)
         if self.kind is CompositionKind.ADD:
-            self.values = segment_sums(rows, span.lengths)
-        else:
-            n = span.ids.size
-            # a bigram is valid only when both positions fall in the same span
-            seg_of_pos = np.repeat(np.arange(span.n), span.lengths)
-            valid = seg_of_pos[:-1] == seg_of_pos[1:] if n > 1 else np.zeros(0, dtype=bool)
-            self._pair_left = np.flatnonzero(valid)
-            self._tanh = np.tanh(rows[self._pair_left] + rows[self._pair_left + 1])
-            self._pairs_per = np.maximum(span.lengths - 1, 0)
-            self._n_pos = n
-            self.values = segment_sums(self._tanh, self._pairs_per)
+            for cols in column_blocks(dim, span.ids.size):
+                rows = columns[cols].take(span.ids, axis=1)
+                self.values[:, cols] = segment_sums(rows.T, span.lengths)
+            return
+        # bigram p joins positions p and p + 1; none starts at a span's last
+        # position, so that slot holds zero in both tanh and its derivative
+        last = span.lengths.cumsum()[span.lengths > 0] - 1
+        self._dtanh = np.empty((dim, span.ids.size), dtype=matrix.dtype)
+        for cols in column_blocks(dim, span.ids.size):
+            rows = columns[cols].take(span.ids, axis=1)
+            t = self._dtanh[cols]
+            np.add(rows[:, :-1], rows[:, 1:], out=t[:, :-1])
+            np.tanh(t[:, :-1], out=t[:, :-1])
+            t[:, last] = 0.0
+            self.values[:, cols] = segment_sums(t.T, span.lengths)
+            np.multiply(t, t, out=t)
+            np.subtract(1.0, t, out=t)
+            t[:, last] = 0.0
 
-    def position_grads(self, upstream: np.ndarray) -> np.ndarray:
-        """Gradient for every flat position given one (n_spans, d) upstream."""
+    def position_grads(self, upstream: np.ndarray, cols: slice) -> np.ndarray:
+        """Gradient of every flat position for the columns ``cols`` of one
+        (n_spans, d) upstream, as a dimension-major (width, n_positions)
+        block."""
+        up = upstream[:, cols].T.repeat(self.span.lengths, axis=1)
         if self.kind is CompositionKind.ADD:
-            return np.repeat(upstream, self.span.lengths, axis=0)
-        d = (1.0 - self._tanh ** 2) * np.repeat(upstream, self._pairs_per, axis=0)
-        out = np.zeros((self._n_pos, upstream.shape[1]), dtype=upstream.dtype)
-        out[self._pair_left] += d
-        out[self._pair_left + 1] += d
+            return up
+        # each bigram feeds its own position and the next one
+        d = self._dtanh[cols] * up
+        out = np.empty_like(d)
+        out[:, :1] = d[:, :1]
+        np.add(d[:, 1:], d[:, :-1], out=out[:, 1:])
         return out
 
 

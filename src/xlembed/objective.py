@@ -6,11 +6,16 @@ loss (a phrase should sit closer to its own sub-phrase than to a random
 noise phrase, with an always-on sub-phrase distance term and length-ratio
 scaling), and an L2 penalty applied stochastically to the rows touched by
 each mini-batch. Batch losses are plain sums over samples, not means.
+
+The batch path is dimension-major: compositions and the gradient
+accumulator work one block of embedding columns at a time over contiguous
+1-D data, and no positions x dim gradient array is ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -20,6 +25,7 @@ from .embeddings import (
     CompositionKind,
     SpanComposition,
     TablePair,
+    column_blocks,
 )
 from .errors import DataError
 
@@ -129,88 +135,95 @@ def l2_regularizer(tables: TablePair, lam: float) -> float:
 class GradientAccumulator:
     """Sparse map (language_tag, word_id) -> d-vector of summed gradients.
 
-    Scatter updates are appended as chunks (an id array plus matching rows)
-    and summed into unique rows by :meth:`coalesce`, whose result stays
-    readable as ``coalesced`` until the next :meth:`add`.
+    A chunk is an id array plus a function ``grads(cols)`` that returns the
+    chunk's gradients for the column slice ``cols`` as a dimension-major
+    (width, ids.size) block. :meth:`coalesce` asks every chunk for one block
+    of columns at a time and sums it into the unique rows with one
+    ``bincount`` over flattened (column, row) cells, so no positions x dim
+    gradient is ever built; every cell sums its terms from zero in chunk
+    order, then position order. The result stays readable as ``coalesced``
+    until the next :meth:`add`.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._chunks: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._chunks: dict[str, list] = {}
         self.coalesced: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
 
-    def add(self, tag: str, ids, rows) -> None:
+    def add(self, tag: str, ids, grads) -> None:
         ids = np.asarray(ids, dtype=np.int64).ravel()
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim == 1:  # one gradient vector shared by every id
-            rows = np.broadcast_to(rows, (ids.size, self.dim))
-        if rows.shape != (ids.size, self.dim):
-            raise DataError(f"gradient chunk shape {rows.shape} does not match ids {ids.size}")
         if ids.size:
-            self._chunks.setdefault(tag, []).append((ids, rows))
+            self._chunks.setdefault(tag, []).append((ids, grads))
             self.coalesced = None
 
     def coalesce(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Unique ids per language with their summed gradient rows; collapses
         the internal chunk lists so repeated calls stay cheap."""
+        if self.coalesced is not None:
+            return self.coalesced
         out = {}
         for tag, chunks in self._chunks.items():
-            if len(chunks) == 1:
-                ids_all, rows_all = chunks[0]
-            else:
-                ids_all = np.concatenate([c[0] for c in chunks])
-                rows_all = np.concatenate([np.ascontiguousarray(c[1]) for c in chunks])
-            unique, inverse = np.unique(ids_all, return_inverse=True)
+            ids_all = np.concatenate([ids for ids, _ in chunks])
+            unique, inverse = _unique_inverse(ids_all)
             summed = np.zeros((unique.size, self.dim), dtype=np.float64)
-            for j in range(self.dim):
-                summed[:, j] = np.bincount(
-                    inverse, weights=rows_all[:, j], minlength=unique.size
+            cells = None
+            for cols in column_blocks(self.dim, ids_all.size):
+                width = cols.stop - cols.start
+                blocks = []
+                for ids, grads in chunks:
+                    block = grads(cols)
+                    if block.shape != (width, ids.size):
+                        raise DataError(
+                            f"gradient block shape {block.shape} does not match ids {ids.size}"
+                        )
+                    blocks.append(block)
+                block = np.concatenate(blocks, axis=1) if len(blocks) > 1 else blocks[0]
+                if cells is None:  # the first block is the widest
+                    cells = (np.arange(width)[:, None] * unique.size + inverse).ravel()
+                sums = np.bincount(
+                    cells[: block.size], weights=block.ravel(), minlength=width * unique.size
                 )
-            self._chunks[tag] = [(unique, summed)]
+                summed[:, cols] = sums.reshape(width, unique.size).T
+            self._chunks[tag] = [(unique, row_blocks(summed))]
             out[tag] = (unique, summed)
         self.coalesced = out
         return out
 
-    def get(self, tag: str, word_id: int) -> np.ndarray:
-        """Accumulated gradient for one row; absent keys read as zero."""
-        total = np.zeros(self.dim, dtype=np.float64)
-        for ids, rows in self._chunks.get(tag, []):
-            pos = np.flatnonzero(ids == word_id)
-            if pos.size:
-                total += rows[pos].sum(axis=0)
-        return total
 
-    @property
-    def tags(self):
-        return sorted(self._chunks)
+def row_blocks(rows: np.ndarray):
+    """The ``grads`` function of a chunk held as one (n, d) array."""
+    return lambda cols: rows[:, cols].T
 
-    def touched_rows(self) -> int:
-        return sum(ids.size for ids, _ in self.coalesce().values())
 
-    def is_empty(self) -> bool:
-        return not self._chunks
+def _unique_inverse(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)`` for non-negative ids, from a
+    presence map over the id range instead of a sort."""
+    present = np.zeros(int(ids.max()) + 1, dtype=bool)
+    present[ids] = True
+    unique = np.flatnonzero(present)
+    slot = np.empty(present.size, dtype=np.int64)
+    slot[unique] = np.arange(unique.size)
+    return unique, slot[ids]
 
 
 # ---------------------------------------------------------------------------
 # batch loss and gradient
 
 
-def _pair_term(batch: PairBatch, tables: TablePair, kind, acc) -> float:
-    w1 = tables.by_tag(batch.tag_l1)
-    w2 = tables.by_tag(batch.tag_l2)
-    c1 = SpanComposition(kind, w1.matrix, batch.side_l1)
-    c2 = SpanComposition(kind, w2.matrix, batch.side_l2)
+def _pair_term(batch: PairBatch, columns, kind, acc) -> float:
+    c1 = SpanComposition(kind, columns[batch.tag_l1], batch.side_l1)
+    c2 = SpanComposition(kind, columns[batch.tag_l2], batch.side_l2)
     diff = c1.values - c2.values
-    acc.add(batch.tag_l1, batch.side_l1.ids, c1.position_grads(2.0 * diff))
-    acc.add(batch.tag_l2, batch.side_l2.ids, c2.position_grads(-2.0 * diff))
+    acc.add(batch.tag_l1, batch.side_l1.ids, partial(c1.position_grads, 2.0 * diff))
+    acc.add(batch.tag_l2, batch.side_l2.ids, partial(c2.position_grads, -2.0 * diff))
     return float((diff * diff).sum())
 
 
-def _triple_term(batch: TripleBatch, tables: TablePair, kind, margin, acc) -> float:
-    table = tables.by_tag(batch.language_tag)
-    co = SpanComposition(kind, table.matrix, batch.outer)
-    ci = SpanComposition(kind, table.matrix, batch.inner)
-    cn = SpanComposition(kind, table.matrix, batch.noise)
+def _triple_term(batch: TripleBatch, columns, kind, margin, acc) -> float:
+    matrix = columns[batch.language_tag]
+    co = SpanComposition(kind, matrix, batch.outer)
+    ci = SpanComposition(kind, matrix, batch.inner)
+    cn = SpanComposition(kind, matrix, batch.noise)
     diff_in = co.values - ci.values
     diff_no = co.values - cn.values
     d_in = (diff_in * diff_in).sum(axis=1)
@@ -224,9 +237,9 @@ def _triple_term(batch: TripleBatch, tables: TablePair, kind, margin, acc) -> fl
     up_out = r * ((1.0 + a)[:, None] * 2.0 * diff_in - a[:, None] * 2.0 * diff_no)
     up_in = -r * (1.0 + a)[:, None] * 2.0 * diff_in
     up_noise = (a * ratio)[:, None] * 2.0 * diff_no
-    acc.add(batch.language_tag, batch.outer.ids, co.position_grads(up_out))
-    acc.add(batch.language_tag, batch.inner.ids, ci.position_grads(up_in))
-    acc.add(batch.language_tag, batch.noise.ids, cn.position_grads(up_noise))
+    acc.add(batch.language_tag, batch.outer.ids, partial(co.position_grads, up_out))
+    acc.add(batch.language_tag, batch.inner.ids, partial(ci.position_grads, up_in))
+    acc.add(batch.language_tag, batch.noise.ids, partial(cn.position_grads, up_noise))
     return loss
 
 
@@ -258,7 +271,8 @@ def batch_loss_and_grad(
 
     Sample arguments may be lists of SentencePair / PhraseTriple objects or
     the pre-packed PairBatch / TripleBatch forms; empty sources may be None.
-    Rows touched by several samples accumulate additively. The returned
+    Rows touched by several samples accumulate additively, each row's terms
+    summed in a fixed order whatever the column block width. The returned
     accumulator is already coalesced: ``acc.coalesced`` holds the unique ids
     and summed rows per language. The regularizer follows the stochastic
     schedule on exactly those ids: every touched row w contributes
@@ -281,9 +295,13 @@ def batch_loss_and_grad(
     if triple_l2 is not None and triple_l2.language_tag != tag2:
         raise DataError(f"mono_samples_l2 carries tag {triple_l2.language_tag!r}, expected {tag2!r}")
 
-    l_bi = _pair_term(pair_batch, tables, kind, acc) if pair_batch else 0.0
-    l_m1 = _triple_term(triple_l1, tables, kind, margin, acc) if triple_l1 else 0.0
-    l_m2 = _triple_term(triple_l2, tables, kind, margin, acc) if triple_l2 else 0.0
+    # each table once per call in column-major order, so every column block
+    # of the composition reads contiguous memory
+    columns = {tag: np.asfortranarray(tables.by_tag(tag).matrix) for tag in (tag1, tag2)}
+    l_bi = _pair_term(pair_batch, columns, kind, acc) if pair_batch else 0.0
+    l_m1 = _triple_term(triple_l1, columns, kind, margin, acc) if triple_l1 else 0.0
+    l_m2 = _triple_term(triple_l2, columns, kind, margin, acc) if triple_l2 else 0.0
+    del columns  # not needed by the backward pass in coalesce
 
     # the coalesced ids are the touched set; regularizer rows are added
     # after the data sums, so every per-row sum keeps a fixed order

@@ -122,9 +122,16 @@ def adagrad_update(row, grad_row, g_row, lr: float, eps: float):
 
 def apply_sparse_update(
     table: EmbeddingTable, g_matrix: np.ndarray, ids: np.ndarray, grads: np.ndarray,
-    lr: float, eps: float,
-) -> None:
-    """Vectorized AdaGrad over the unique touched rows of one table."""
+    lr: float, eps: float, write: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized AdaGrad over the unique touched rows of one table.
+
+    The new accumulator rows and weight rows are computed into new arrays
+    and checked to be finite before anything is written, so a TrainingError
+    leaves ``table`` and ``g_matrix`` as they were. Returns them as
+    (g_rows, w_rows); with ``write=False`` nothing is written, for a caller
+    that commits several tables together.
+    """
     if not np.isfinite(grads).all():
         bad = ids[~np.isfinite(grads).all(axis=1)]
         raise TrainingError(
@@ -134,10 +141,16 @@ def apply_sparse_update(
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
         g_rows = g_matrix[ids]
         g_rows += grads * grads
+        w_rows = table.matrix[ids]
+        w_rows -= lr * grads / (np.sqrt(g_rows) + eps)
+    if not (np.isfinite(g_rows).all() and np.isfinite(w_rows).all()):
+        raise TrainingError(
+            f"non-finite weights or accumulators after update in {table.language_tag!r}"
+        )
+    if write:
         g_matrix[ids] = g_rows
-        table.matrix[ids] -= lr * grads / (np.sqrt(g_rows) + eps)
-    if not np.isfinite(table.matrix[ids]).all():
-        raise TrainingError(f"non-finite weights after update in {table.language_tag!r}")
+        table.matrix[ids] = w_rows
+    return g_rows, w_rows
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +212,17 @@ def train_step(batch: Batch, tables: TablePair, state: AdaGradState, config: Tra
             batch.pairs, batch.mono_l1, batch.mono_l2, tables,
             config.composition, config.resolved_margin(), config.lam,
         )
+    # both tables are computed and checked before either is written
+    staged = []
     for tag, (ids, grads) in acc.coalesced.items():
-        apply_sparse_update(
-            tables.by_tag(tag), state.g_by_tag[tag], ids, grads,
-            config.learning_rate, config.adagrad_epsilon,
+        table, g_matrix = tables.by_tag(tag), state.g_by_tag[tag]
+        rows = apply_sparse_update(
+            table, g_matrix, ids, grads, config.learning_rate, config.adagrad_epsilon, write=False,
         )
+        staged.append((table.matrix, g_matrix, ids) + rows)
+    for matrix, g_matrix, ids, g_rows, w_rows in staged:
+        g_matrix[ids] = g_rows
+        matrix[ids] = w_rows
     return breakdown
 
 
@@ -247,6 +266,11 @@ def load_checkpoint(path):
             EmbeddingTable(z["table_l1"], tag1), EmbeddingTable(z["table_l2"], tag2)
         )
         state = AdaGradState({tag1: z["g_l1"].copy(), tag2: z["g_l2"].copy()})
+        for name, array in (("l1 table", tables.l1.matrix), ("l2 table", tables.l2.matrix),
+                            ("l1 accumulator", state.g_by_tag[tag1]),
+                            ("l2 accumulator", state.g_by_tag[tag2])):
+            if not np.isfinite(array).all():
+                raise DataError(f"{path}: checkpoint {name} holds non-finite values")
         raw = json.loads(str(z["config"]))
         unknown = sorted(set(raw) - {f.name for f in fields(TrainConfig)})
         if unknown:

@@ -198,6 +198,10 @@ class TestTrainCommand:
         assert code == 3
         assert "numeric" in capsys.readouterr().err
         assert (outdir / "checkpoint.npz").exists()  # flushed on abort
+        # the failed step wrote nothing, so the flushed state is usable
+        tables, state, _, _, _ = load_checkpoint(outdir / "checkpoint.npz")
+        for array in (tables.l1.matrix, tables.l2.matrix, *state.g_by_tag.values()):
+            assert np.isfinite(array).all()
 
     def test_checkpoint_with_unknown_config_key_is_data_error(self, prepared, tmp_path, capsys):
         outdir = tmp_path / "model"

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from xlembed import embeddings
 from xlembed.corpus import Sentence, SpanSet
 from xlembed.embeddings import (
     CompositionKind,
     EmbeddingTable,
     SpanComposition,
     TablePair,
+    column_blocks,
     compose,
     compose_add,
     compose_backward,
@@ -214,6 +216,12 @@ class TestSpanComposition:
         out = segment_sums(values, lengths)
         assert out.tolist() == [[2.0, 4.0], [0.0, 0.0], [10.0, 12.0]]
 
+    def test_column_blocks_cover_every_column(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "BLOCK_CELLS", 100)
+        assert column_blocks(40, 2) == [slice(0, 40)]
+        assert column_blocks(40, 30) == [slice(j, min(j + 3, 40)) for j in range(0, 40, 3)]
+        assert column_blocks(40, 10**6) == [slice(j, j + 1) for j in range(40)]
+
     @pytest.mark.parametrize("kind", ["add", "bi"])
     def test_batch_matches_per_span_composition(self, kind):
         rng = np.random.default_rng(5)
@@ -237,7 +245,7 @@ class TestSpanComposition:
         )
         upstream = rng.normal(size=(5, 3))
         batch = SpanComposition(kind, matrix, span_set)
-        grads = batch.position_grads(upstream)
+        grads = batch.position_grads(upstream, slice(0, 3)).T
         offset = 0
         for i, ids in enumerate(spans):
             expected = compose_backward(kind, matrix[ids], upstream[i])
@@ -249,8 +257,9 @@ class TestSpanComposition:
         span_set = SpanSet(np.array([1, 2, 3, 1]), np.array([1, 3]))
         batch = SpanComposition("bi", matrix, span_set)
         assert np.allclose(batch.values[0], 0.0)
-        grads = batch.position_grads(np.ones((2, 2)))
-        assert np.allclose(grads[0], 0.0)
+        grads = batch.position_grads(np.ones((2, 2)), slice(0, 2))
+        assert grads.shape == (2, 4)
+        assert np.allclose(grads[:, 0], 0.0)
 
 
 class TestSentenceVector:

@@ -1,5 +1,10 @@
+import hashlib
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+
+from conftest import build_training_data
 
 from xlembed.corpus import (
     EncodedCorpus,
@@ -11,6 +16,7 @@ from xlembed.corpus import (
     sample_phrase_triple,
     sample_phrase_triples,
 )
+from xlembed import embeddings
 from xlembed.embeddings import ComposedVector, TablePair, init_table
 from xlembed.errors import DataError
 from xlembed.objective import (
@@ -23,7 +29,9 @@ from xlembed.objective import (
     l2_regularizer,
     mono_grad,
     mono_loss,
+    row_blocks,
 )
+from xlembed.trainer import TrainConfig, make_batch, proportional_mix
 
 
 def cv(values, source_len):
@@ -183,7 +191,9 @@ class TestRegularizer:
         breakdown, acc = batch_loss_and_grad(None, [triple], None, tables, "add", 0.0, 1.0)
         lam_eff = 1.0 * 1 / 2
         assert breakdown.regularizer == pytest.approx(lam_eff * 25.0)
-        assert np.allclose(acc.get("en", 0), 2 * lam_eff * np.array([3.0, 4.0]))
+        ids, grads = acc.coalesced["en"]
+        assert ids.tolist() == [0]
+        assert np.allclose(grads[0], 2 * lam_eff * np.array([3.0, 4.0]))
 
     def test_row_shared_across_sources_counts_once(self):
         # en row 1 is on the pair's l1 side and in the l1 triple; the data
@@ -199,7 +209,8 @@ class TestRegularizer:
         )
         breakdown, acc = batch_loss_and_grad([pair], [triple], None, tables, "add", 0.0, 1.0)
         assert breakdown.bilingual == 0.0 and breakdown.mono_l1 == 0.0
-        assert acc.touched_rows() == 3  # en {1, 2} and de {1}, not 4
+        # en {1, 2} and de {1}, not 4
+        assert sum(ids.size for ids, _ in acc.coalesced.values()) == 3
         lam_eff = 1.0 * 3 / 5
         assert breakdown.regularizer == pytest.approx(lam_eff * (25.0 + 5.0 + 25.0))
         en_ids, en_grads = acc.coalesced["en"]
@@ -252,7 +263,7 @@ class TestBatchLossAndGrad:
         tables = TablePair(init_table(3, 2, 0.1, 0, "en"), init_table(3, 2, 0.1, 1, "de"))
         breakdown, acc = batch_loss_and_grad(None, None, None, tables, "add", 1.0, 1.0)
         assert breakdown.total == 0.0
-        assert acc.is_empty()
+        assert acc.coalesced == {}
 
     def test_identical_pair_zero_bilingual_term(self):
         from xlembed.embeddings import EmbeddingTable
@@ -281,7 +292,9 @@ class TestBatchLossAndGrad:
         pair = SentencePair(Sentence(np.array([1, 1]), "en"), Sentence(np.array([0]), "de"))
         _, acc = batch_loss_and_grad([pair], None, None, tables, "add", 1.0, 0.0)
         # v1 = (2, 0), v2 = (0, 0): grad per occurrence of word 1 is 2*diff
-        assert np.allclose(acc.get("en", 1), 2 * np.array([2.0 * 2, 0.0]))
+        ids, grads = acc.coalesced["en"]
+        assert ids.tolist() == [1]
+        assert np.allclose(grads[0], 2 * np.array([2.0 * 2, 0.0]))
 
     def test_scalar_and_batch_paths_agree(self):
         rng = np.random.default_rng(9)
@@ -352,37 +365,104 @@ class TestBatchLossAndGrad:
                         assert rel <= 1e-5, (tag, int(i), j, analytic, fd)
 
 
+@pytest.fixture(scope="module")
+def synth_batch(synth_world):
+    """One mixed batch of the synthetic world at dim 40: about 6.2k
+    positions per language, so the default column blocks are 10 wide."""
+    data = build_training_data(synth_world)
+    config = TrainConfig(dim=40, batch_size=1200)
+    batch = make_batch(data, config, proportional_mix(*data.sizes()), np.random.default_rng(17))
+    tables = TablePair(
+        init_table(len(data.vocab_l1), 40, 0.1, (17, 0), data.vocab_l1.language_tag),
+        init_table(len(data.vocab_l2), 40, 0.1, (17, 1), data.vocab_l2.language_tag),
+    )
+    return batch, tables
+
+
+def batch_digest(breakdown, acc) -> str:
+    h = hashlib.sha256(np.array(astuple(breakdown), dtype="<f8").tobytes())
+    for tag in sorted(acc.coalesced):
+        ids, rows = acc.coalesced[tag]
+        h.update(ids.astype("<i8").tobytes())
+        h.update(np.ascontiguousarray(rows, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestBatchBits:
+    @pytest.mark.parametrize("kind", ["add", "bi"])
+    def test_column_block_width_keeps_bits(self, kind, synth_batch, monkeypatch):
+        batch, tables = synth_batch
+        digests = []
+        for cells in (1, embeddings.BLOCK_CELLS, 10**9):  # one column, default, all columns
+            monkeypatch.setattr(embeddings, "BLOCK_CELLS", cells)
+            breakdown, acc = batch_loss_and_grad(
+                batch.pairs, batch.mono_l1, batch.mono_l2, tables, kind, 40.0, 1.0
+            )
+            digests.append(batch_digest(breakdown, acc))
+        assert digests[0] == digests[1] == digests[2]
+
+    def test_golden_add_batch(self, synth_batch):
+        # the loss and coalesced gradient bits of the row-major batch path
+        # this one replaced; Add only, since tanh's last bit depends on the
+        # platform's math library
+        batch, tables = synth_batch
+        breakdown, acc = batch_loss_and_grad(
+            batch.pairs, batch.mono_l1, batch.mono_l2, tables, "add", 40.0, 1.0
+        )
+        assert breakdown.total == 35218.28197828421
+        assert batch_digest(breakdown, acc) == (
+            "93653e5f6403e0260a86ce0c688c8b8974416e798af26fb79aa0ba38c143a9e4"
+        )
+
+
 class TestGradientAccumulator:
     def test_absent_key_reads_zero(self):
         acc = GradientAccumulator(3)
-        assert acc.get("en", 5).tolist() == [0.0, 0.0, 0.0]
+        assert "en" not in acc.coalesce()
 
     def test_add_and_coalesce(self):
         acc = GradientAccumulator(2)
-        acc.add("en", [1, 2, 1], np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]))
+        acc.add("en", [1, 2, 1], row_blocks(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])))
         ids, grads = acc.coalesce()["en"]
         assert ids.tolist() == [1, 2]
         assert grads.tolist() == [[3.0, 2.0], [0.0, 1.0]]
 
-    def test_uniform_row_broadcast(self):
-        acc = GradientAccumulator(2)
-        acc.add("en", [3, 4, 3], np.array([1.0, -1.0]))
-        assert acc.get("en", 3).tolist() == [2.0, -2.0]
+    @pytest.mark.parametrize("cells", [1, 10**9])
+    def test_chunks_match_unique_and_add_at(self, cells, monkeypatch):
+        monkeypatch.setattr(embeddings, "BLOCK_CELLS", cells)
+        rng = np.random.default_rng(4)
+        acc = GradientAccumulator(5)
+        all_ids, all_rows = [], []
+        for n in (7, 1, 12):
+            ids, rows = rng.integers(3, 40, size=n), rng.normal(size=(n, 5))
+            acc.add("en", ids, row_blocks(rows))
+            all_ids.append(ids)
+            all_rows.append(rows)
+        ids, grads = acc.coalesce()["en"]
+        unique, inverse = np.unique(np.concatenate(all_ids), return_inverse=True)
+        expected = np.zeros((unique.size, 5))
+        np.add.at(expected, inverse, np.concatenate(all_rows))
+        assert ids.tolist() == unique.tolist()
+        assert np.allclose(grads, expected, rtol=0, atol=1e-12)
 
     def test_coalesced_kept_until_next_add(self):
         acc = GradientAccumulator(2)
         assert acc.coalesced is None
-        acc.add("en", [1, 1], np.array([1.0, 1.0]))
+        acc.add("en", [1, 1], row_blocks(np.ones((2, 2))))
         out = acc.coalesce()
         assert acc.coalesced is out
         assert out["en"][1].tolist() == [[2.0, 2.0]]
-        acc.add("en", [2], np.array([1.0, 0.0]))
+        acc.add("en", [2], row_blocks(np.array([[1.0, 0.0]])))
         assert acc.coalesced is None
+        ids, grads = acc.coalesce()["en"]
+        assert ids.tolist() == [1, 2]
+        assert grads.tolist() == [[2.0, 2.0], [1.0, 0.0]]
 
     def test_shape_mismatch_rejected(self):
         acc = GradientAccumulator(3)
+        acc.add("en", [1, 2], row_blocks(np.zeros((3, 3))))
         with pytest.raises(DataError):
-            acc.add("en", [1, 2], np.zeros((3, 3)))
+            acc.coalesce()
 
 
 def test_loss_breakdown_of():

@@ -178,6 +178,28 @@ class TestTrainStep:
         after = batch_loss(pairs, None, None, tables, "add", 4.0, 0.0).bilingual
         assert after < before
 
+    def test_overflowing_l2_update_leaves_both_tables_unchanged(self):
+        from xlembed.corpus import Sentence, SentencePair, PairBatch
+
+        # v2 = [0, 2] from two huge rows, so every gradient is small, but at
+        # learning rate 1e308 one of the two l2 rows steps past the float
+        # range while the l1 row stays finite
+        tables = TablePair(
+            EmbeddingTable(np.array([[0.5, 0.5]]), "en"),
+            EmbeddingTable(np.array([[-1.5e308, 1.0], [1.5e308, 1.0]]), "de"),
+        )
+        state = AdaGradState.zeros(tables)
+        state.g_by_tag["en"][:] = 2.0
+        pair = SentencePair(Sentence(np.array([0]), "en"), Sentence(np.array([0, 1]), "de"))
+        config = TrainConfig(dim=2, lam=0.0, learning_rate=1e308, batch_size=1)
+        before = [a.copy() for a in (tables.l1.matrix, tables.l2.matrix,
+                                     state.g_by_tag["en"], state.g_by_tag["de"])]
+        with pytest.raises(TrainingError):
+            train_step(Batch(pairs=PairBatch.from_pairs([pair])), tables, state, config)
+        after = (tables.l1.matrix, tables.l2.matrix, state.g_by_tag["en"], state.g_by_tag["de"])
+        for old, new in zip(before, after):
+            assert old.tobytes() == new.tobytes()
+
     def test_step_touches_only_batch_rows(self):
         data = small_data()
         tables = TablePair(
@@ -313,6 +335,19 @@ class TestCheckpoint:
         path = tmp_path / "future.npz"
         np.savez(path, magic=np.array(CHECKPOINT_MAGIC), version=np.array(99))
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["table_l1", "table_l2", "g_l1", "g_l2"])
+    def test_rejects_non_finite_arrays(self, tmp_path, key):
+        tables = TablePair(init_table(4, 3, 0.1, 0, "en"), init_table(5, 3, 0.1, 1, "de"))
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, tables, AdaGradState.zeros(tables), TrainConfig(dim=3), 1,
+                        np.random.default_rng(0))
+        with np.load(path) as z:
+            arrays = dict(z)
+        arrays[key][1, 2] = np.inf
+        np.savez(path, **arrays)
+        with pytest.raises(DataError, match="non-finite"):
             load_checkpoint(path)
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
