@@ -219,10 +219,7 @@ def column_blocks(dim: int, positions: int) -> list[slice]:
     """Consecutive column slices covering ``dim`` columns, each holding at
     most BLOCK_CELLS cells of a (dim, positions) array but at least one
     column."""
-    k = BLOCK_CELLS // max(positions, 1)
-    if k >= dim:
-        return [slice(0, dim)]
-    k = max(k, 1)
+    k = max(1, min(dim, BLOCK_CELLS // max(positions, 1)))
     return [slice(j, min(j + k, dim)) for j in range(0, dim, k)]
 
 
@@ -261,6 +258,7 @@ class SpanComposition:
             return
         # bigram p joins positions p and p + 1; none starts at a span's last
         # position, so that slot holds zero in both tanh and its derivative
+        # (adding zero leaves every prefix sum, hence every value, unchanged)
         last = span.lengths.cumsum()[span.lengths > 0] - 1
         self._dtanh = np.empty((dim, span.ids.size), dtype=matrix.dtype)
         for cols in column_blocks(dim, span.ids.size):

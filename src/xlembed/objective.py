@@ -166,20 +166,21 @@ class GradientAccumulator:
             ids_all = np.concatenate([ids for ids, _ in chunks])
             unique, inverse = _unique_inverse(ids_all)
             summed = np.zeros((unique.size, self.dim), dtype=np.float64)
-            cells = None
-            for cols in column_blocks(self.dim, ids_all.size):
+            blocks = column_blocks(self.dim, ids_all.size)
+            # (column, row) cells of the first, widest block; a narrower
+            # last block uses a prefix
+            cells = (np.arange(blocks[0].stop)[:, None] * unique.size + inverse).ravel()
+            for cols in blocks:
                 width = cols.stop - cols.start
-                blocks = []
+                parts = []
                 for ids, grads in chunks:
-                    block = grads(cols)
-                    if block.shape != (width, ids.size):
+                    part = grads(cols)
+                    if part.shape != (width, ids.size):
                         raise DataError(
-                            f"gradient block shape {block.shape} does not match ids {ids.size}"
+                            f"gradient block shape {part.shape} does not match ids {ids.size}"
                         )
-                    blocks.append(block)
-                block = np.concatenate(blocks, axis=1) if len(blocks) > 1 else blocks[0]
-                if cells is None:  # the first block is the widest
-                    cells = (np.arange(width)[:, None] * unique.size + inverse).ravel()
+                    parts.append(part)
+                block = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
                 sums = np.bincount(
                     cells[: block.size], weights=block.ravel(), minlength=width * unique.size
                 )
