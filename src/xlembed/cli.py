@@ -430,11 +430,14 @@ def _load_training_data(data_dir: str, settings: dict) -> TrainingData:
         (vocab_l2, (parallel.l2, mono.get(tag2))),
     ):
         for enc in corpora:
-            if enc is not None and enc.n_tokens and int(enc.flat.max()) >= len(vocab):
-                raise DataError(
-                    f"{enc.language_tag!r} corpus references id {int(enc.flat.max())} "
-                    f"outside the vocabulary (size {len(vocab)})"
-                )
+            if enc is None or not enc.n_tokens:
+                continue
+            for bad in (int(enc.flat.min()), int(enc.flat.max())):
+                if not 0 <= bad < len(vocab):
+                    raise DataError(
+                        f"{enc.language_tag!r} corpus references id {bad} "
+                        f"outside the vocabulary (size {len(vocab)})"
+                    )
     return TrainingData(vocab_l1, vocab_l2, parallel, mono.get(tag1), mono.get(tag2))
 
 

@@ -4,7 +4,8 @@ The model parameters are nothing but one word-vector table per language.
 Spans compose either by plain addition or by summing tanh over the vector
 sums of adjacent word bigrams, which makes the result order sensitive.
 Batched composition (:class:`SpanComposition`) runs dimension-major, one
-block of embedding columns at a time, and builds no positions x dim array.
+block of embedding columns at a time and builds no per-position gradient
+array; Bi keeps one (d, n_positions) tanh-derivative array.
 """
 
 from __future__ import annotations
@@ -226,10 +227,10 @@ def column_blocks(dim: int, positions: int) -> list[slice]:
 def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Row sums of consecutive variable-length segments; empty segments sum
     to zero."""
-    ends = lengths.cumsum()
+    ends = np.cumsum(lengths)
     csum = np.empty((values.shape[0] + 1, values.shape[1]), dtype=values.dtype)
     csum[0] = 0.0
-    values.cumsum(axis=0, out=csum[1:])
+    np.cumsum(values, axis=0, out=csum[1:])
     return csum[ends] - csum[ends - lengths]
 
 
@@ -239,10 +240,10 @@ class SpanComposition:
 
     The work is dimension-major: each block of columns (:func:`column_blocks`)
     gathers its columns for every position from ``matrix.T``, which is
-    contiguous when ``matrix`` is column-major (``np.asfortranarray``), so no
-    positions x dim array is ever built. ``values`` is C-ordered
-    (n_spans, d). Bi keeps only the tanh derivative of every bigram, as a
-    (d, n_positions) array indexed by the bigram's first position.
+    contiguous when ``matrix`` is column-major (``np.asfortranarray``), and
+    no per-position gradient array is built. ``values`` is C-ordered
+    (n_spans, d). Bi keeps one (d, n_positions) array, the tanh derivative
+    of every bigram indexed by the bigram's first position.
     """
 
     def __init__(self, kind, matrix: np.ndarray, span: SpanSet):

@@ -9,7 +9,8 @@ each mini-batch. Batch losses are plain sums over samples, not means.
 
 The batch path is dimension-major: compositions and the gradient
 accumulator work one block of embedding columns at a time over contiguous
-1-D data, and no positions x dim gradient array is ever built.
+1-D data, and no per-position gradient array is built (Bi compositions
+keep one (d, n_positions) tanh-derivative array each).
 """
 
 from __future__ import annotations
@@ -157,8 +158,8 @@ class GradientAccumulator:
             self.coalesced = None
 
     def coalesce(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Unique ids per language with their summed gradient rows; collapses
-        the internal chunk lists so repeated calls stay cheap."""
+        """Unique ids per language with their summed gradient rows; repeated
+        calls return ``coalesced`` until the next :meth:`add`."""
         if self.coalesced is not None:
             return self.coalesced
         out = {}
@@ -185,6 +186,8 @@ class GradientAccumulator:
                     cells[: block.size], weights=block.ravel(), minlength=width * unique.size
                 )
                 summed[:, cols] = sums.reshape(width, unique.size).T
+            # the sums replace the chunks, which frees their backward context
+            # (Bi's tanh derivatives, the upstream arrays) once the sums exist
             self._chunks[tag] = [(unique, row_blocks(summed))]
             out[tag] = (unique, summed)
         self.coalesced = out

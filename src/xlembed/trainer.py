@@ -122,15 +122,13 @@ def adagrad_update(row, grad_row, g_row, lr: float, eps: float):
 
 def apply_sparse_update(
     table: EmbeddingTable, g_matrix: np.ndarray, ids: np.ndarray, grads: np.ndarray,
-    lr: float, eps: float, write: bool = True,
+    lr: float, eps: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized AdaGrad over the unique touched rows of one table.
 
-    The new accumulator rows and weight rows are computed into new arrays
-    and checked to be finite before anything is written, so a TrainingError
-    leaves ``table`` and ``g_matrix`` as they were. Returns them as
-    (g_rows, w_rows); with ``write=False`` nothing is written, for a caller
-    that commits several tables together.
+    Returns the new accumulator rows and weight rows as (g_rows, w_rows),
+    computed into new arrays and checked to be finite; nothing is written,
+    so the caller can commit several tables together or none of them.
     """
     if not np.isfinite(grads).all():
         bad = ids[~np.isfinite(grads).all(axis=1)]
@@ -147,9 +145,6 @@ def apply_sparse_update(
         raise TrainingError(
             f"non-finite weights or accumulators after update in {table.language_tag!r}"
         )
-    if write:
-        g_matrix[ids] = g_rows
-        table.matrix[ids] = w_rows
     return g_rows, w_rows
 
 
@@ -217,7 +212,7 @@ def train_step(batch: Batch, tables: TablePair, state: AdaGradState, config: Tra
     for tag, (ids, grads) in acc.coalesced.items():
         table, g_matrix = tables.by_tag(tag), state.g_by_tag[tag]
         rows = apply_sparse_update(
-            table, g_matrix, ids, grads, config.learning_rate, config.adagrad_epsilon, write=False,
+            table, g_matrix, ids, grads, config.learning_rate, config.adagrad_epsilon,
         )
         staged.append((table.matrix, g_matrix, ids) + rows)
     for matrix, g_matrix, ids, g_rows, w_rows in staged:

@@ -166,6 +166,14 @@ class TestTrainCommand:
         # mono sources absent: their loss columns stay exactly zero
         assert all(float(l.split()[3]) == 0.0 and float(l.split()[4]) == 0.0 for l in lines)
 
+    @pytest.mark.parametrize("bad_id", ["-1", "100000"])
+    def test_id_outside_vocabulary_is_data_error(self, prepared, tmp_path, bad_id):
+        ids = prepared / "bi.de.ids"
+        lines = ids.read_text().splitlines()
+        lines[0] = f"{lines[0]} {bad_id}"
+        ids.write_text("\n".join(lines) + "\n")
+        assert main(train_args(prepared, tmp_path / "model")) == 2
+
     def test_config_file_applies_and_flags_override(self, prepared, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("dim = 6\nepochs = 1\nbatch_size = 16\nlambda = 0.5\nseed = 3\n")

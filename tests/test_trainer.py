@@ -133,12 +133,13 @@ class TestAdaGrad:
         g_vec = g_matrix.copy()
         ids = np.array([1, 4, 5])
         grads = rng.normal(size=(3, 3))
-        apply_sparse_update(table, g_vec, ids, grads.copy(), lr=0.3, eps=1e-8)
+        g_rows, w_rows = apply_sparse_update(table, g_vec, ids, grads.copy(), lr=0.3, eps=1e-8)
+        assert (table.matrix == matrix).all() and (g_vec == g_matrix).all()
         for r, i in enumerate(ids):
             row = matrix[i].copy()
             adagrad_update(row, grads[r], g_matrix[i], lr=0.3, eps=1e-8)
-            assert np.allclose(table.matrix[i], row, atol=1e-15)
-            assert np.allclose(g_vec[i], g_matrix[i], atol=1e-15)
+            assert np.allclose(w_rows[r], row, atol=1e-15)
+            assert np.allclose(g_rows[r], g_matrix[i], atol=1e-15)
 
 
 class TestTrainStep:
