@@ -10,9 +10,7 @@ nearest-neighbor queries.
 from .corpus import (
     EncodedCorpus,
     ParallelCorpus,
-    PhraseTriple,
     Sentence,
-    SentencePair,
     Vocabulary,
     build_vocabulary,
     decode,
@@ -21,18 +19,12 @@ from .corpus import (
     filter_parallel,
     lowercase_ratio,
     merge_vocabularies,
-    sample_bilingual_pair,
-    sample_phrase_triple,
 )
 from .embeddings import (
     ComposedVector,
     CompositionKind,
     EmbeddingTable,
     TablePair,
-    compose,
-    compose_add,
-    compose_backward,
-    compose_bi,
     compose_document,
     init_table,
     load_embeddings_text,
@@ -63,18 +55,12 @@ from .objective import (
     LossBreakdown,
     batch_loss,
     batch_loss_and_grad,
-    bilingual_grad,
-    bilingual_loss,
-    l2_regularizer,
-    mono_grad,
-    mono_loss,
 )
 from .trainer import (
     AdaGradState,
     TrainConfig,
     TrainingData,
     TrainResult,
-    adagrad_update,
     load_checkpoint,
     make_batch,
     proportional_mix,

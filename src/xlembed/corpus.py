@@ -9,6 +9,8 @@ line i of one file aligned to line i of the other.
 from __future__ import annotations
 
 import collections
+import contextlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +71,22 @@ def read_lines(path) -> list[str]:
         return [line.rstrip("\n") for line in f]
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Write ``path`` through ``path.tmp`` and ``os.replace``: a write that
+    raises (or is interrupted) removes the temp file and leaves any existing
+    ``path`` with its old bytes."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def read_parallel(path_l1, path_l2) -> list[tuple[str, str]]:
     lines1 = read_lines(path_l1)
     lines2 = read_lines(path_l2)
@@ -114,7 +132,7 @@ class Vocabulary:
 
     def save(self, path) -> None:
         """One ``token<TAB>count`` line per id; line 0 is always ``<unk>``."""
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             for token, count in zip(self.id_to_token, self.counts):
                 f.write(f"{token}\t{int(count)}\n")
 
@@ -128,10 +146,12 @@ class Vocabulary:
                     continue
                 try:
                     token, count = line.split("\t")
+                    counts.append(int(count))
                 except ValueError:
-                    raise DataError(f"{path}:{lineno + 1}: expected 'token<TAB>count'")
+                    raise DataError(
+                        f"{path}:{lineno + 1}: expected 'token<TAB>count' with an integer count"
+                    )
                 tokens.append(token)
-                counts.append(int(count))
         if not tokens or tokens[0] != UNK_TOKEN:
             raise DataError(f"{path}: line 0 must be the UNK token {UNK_TOKEN!r}")
         return cls(tokens[1:], counts[1:], unk_count=counts[0], language_tag=language_tag)
@@ -196,16 +216,6 @@ class Sentence:
         return int(self.word_ids.size)
 
 
-@dataclass
-class SentencePair:
-    l1_sentence: Sentence
-    l2_sentence: Sentence
-
-    def __post_init__(self):
-        if self.l1_sentence.language_tag == self.l2_sentence.language_tag:
-            raise DataError("sentence pair sides must have different language tags")
-
-
 def encode(
     raw_sentence: str,
     vocab: Vocabulary,
@@ -262,9 +272,6 @@ class EncodedCorpus:
     def sentence_ids(self, i: int) -> np.ndarray:
         return self.flat[self.offsets[i] : self.offsets[i + 1]]
 
-    def sentence(self, i: int) -> Sentence:
-        return Sentence(self.sentence_ids(i), self.language_tag)
-
     @classmethod
     def from_raw(
         cls,
@@ -290,7 +297,7 @@ class EncodedCorpus:
 
     def save_ids(self, path) -> None:
         """One sentence per line, ids space-separated."""
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             for i in range(len(self)):
                 f.write(" ".join(map(str, self.sentence_ids(i))))
                 f.write("\n")
@@ -326,9 +333,6 @@ class ParallelCorpus:
     def __len__(self) -> int:
         return len(self.l1)
 
-    def pair(self, i: int) -> SentencePair:
-        return SentencePair(self.l1.sentence(i), self.l2.sentence(i))
-
     def limited(self, n: int) -> "ParallelCorpus":
         """First n pairs (corpus-size cap for the bilingual conditions)."""
         keep = min(n, len(self))
@@ -340,63 +344,6 @@ class ParallelCorpus:
 
 # ---------------------------------------------------------------------------
 # training samples
-
-
-@dataclass
-class PhraseTriple:
-    """One monolingual training sample: an outer span, a sub-span inside it,
-    and a noise span from an independently sampled sentence."""
-
-    outer_sentence: np.ndarray
-    outer_start: int
-    outer_end: int
-    inner_start: int
-    inner_end: int
-    noise_sentence: np.ndarray
-    noise_start: int
-    noise_end: int
-    language_tag: str = ""
-    sentence_index: int = -1
-    noise_index: int = -1
-
-    @property
-    def outer_ids(self) -> np.ndarray:
-        return self.outer_sentence[self.outer_start : self.outer_end]
-
-    @property
-    def inner_ids(self) -> np.ndarray:
-        return self.outer_sentence[self.inner_start : self.inner_end]
-
-    @property
-    def noise_ids(self) -> np.ndarray:
-        return self.noise_sentence[self.noise_start : self.noise_end]
-
-    @property
-    def len_outer(self) -> int:
-        return self.outer_end - self.outer_start
-
-    @property
-    def len_inner(self) -> int:
-        return self.inner_end - self.inner_start
-
-    @property
-    def len_noise(self) -> int:
-        return self.noise_end - self.noise_start
-
-    def validate(self) -> None:
-        ok = (
-            self.len_outer >= MIN_SPAN_LEN
-            and self.len_inner >= MIN_SPAN_LEN
-            and self.len_noise >= MIN_SPAN_LEN
-            and self.outer_start <= self.inner_start
-            and self.inner_end <= self.outer_end
-            and 0 <= self.outer_start
-            and self.outer_end <= self.outer_sentence.size
-            and 0 <= self.noise_start
-            and self.noise_end <= self.noise_sentence.size
-        )
-        if not ok:
-            raise DataError(f"invalid phrase triple: {self}")
 
 
 @dataclass
@@ -422,22 +369,6 @@ class TripleBatch:
     def n(self) -> int:
         return self.outer.n
 
-    @classmethod
-    def from_triples(cls, triples) -> "TripleBatch":
-        triples = list(triples)
-        if not triples:
-            raise DataError("empty triple list")
-        tag = triples[0].language_tag
-
-        def spans(attr):
-            parts = [getattr(t, attr) for t in triples]
-            return SpanSet(
-                np.concatenate(parts).astype(np.int64, copy=False),
-                np.array([p.size for p in parts], dtype=np.int64),
-            )
-
-        return cls(tag, spans("outer_ids"), spans("inner_ids"), spans("noise_ids"))
-
 
 @dataclass
 class PairBatch:
@@ -449,26 +380,6 @@ class PairBatch:
     @property
     def n(self) -> int:
         return self.side_l1.n
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "PairBatch":
-        pairs = list(pairs)
-        if not pairs:
-            raise DataError("empty pair list")
-
-        def spans(side):
-            parts = [getattr(p, side).word_ids for p in pairs]
-            return SpanSet(
-                np.concatenate(parts).astype(np.int64, copy=False),
-                np.array([p.size for p in parts], dtype=np.int64),
-            )
-
-        return cls(
-            pairs[0].l1_sentence.language_tag,
-            pairs[0].l2_sentence.language_tag,
-            spans("l1_sentence"),
-            spans("l2_sentence"),
-        )
 
 
 def _gather_spans(flat: np.ndarray, abs_starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -483,59 +394,16 @@ def _gather_spans(flat: np.ndarray, abs_starts: np.ndarray, lengths: np.ndarray)
 # samplers
 
 
-def sample_bilingual_pair(corpus: ParallelCorpus, rng: np.random.Generator) -> SentencePair:
-    """One aligned pair drawn uniformly; whole sentences, no sub-spans."""
-    if len(corpus) == 0:
-        raise SamplingError("cannot sample from an empty parallel corpus")
-    return corpus.pair(int(rng.integers(0, len(corpus))))
-
-
-def _sample_span(rng: np.random.Generator, length: int) -> tuple[int, int]:
-    # start uniform in [0, L-3], then end uniform in [start+3, L]
-    start = int(rng.integers(0, length - MIN_SPAN_LEN + 1))
-    end = int(rng.integers(start + MIN_SPAN_LEN, length + 1))
-    return start, end
-
-
-def sample_phrase_triple(corpus: EncodedCorpus, rng: np.random.Generator) -> PhraseTriple:
-    """Draw one (outer, inner, noise) phrase triple.
-
-    The outer sentence is uniform over sentences of length >= 3; the outer
-    span's start and end are chosen uniformly in two stages, the inner span
-    likewise within the outer span. The noise sentence is drawn uniformly and
-    redrawn once if it collides with the outer sentence, then kept either
-    way, so a single-sentence corpus noise-samples the outer sentence itself.
-    """
-    elig = corpus.eligible
-    if elig.size == 0:
-        raise SamplingError("no sentence of length >= 3 to sample phrases from")
-    outer_idx = int(elig[rng.integers(0, elig.size)])
-    length = int(corpus.lengths[outer_idx])
-    o_start, o_end = _sample_span(rng, length)
-    i_start = int(rng.integers(o_start, o_end - MIN_SPAN_LEN + 1))
-    i_end = int(rng.integers(i_start + MIN_SPAN_LEN, o_end + 1))
-    noise_idx = int(elig[rng.integers(0, elig.size)])
-    if noise_idx == outer_idx and elig.size >= 2:
-        noise_idx = int(elig[rng.integers(0, elig.size)])
-    n_start, n_end = _sample_span(rng, int(corpus.lengths[noise_idx]))
-    return PhraseTriple(
-        outer_sentence=corpus.sentence_ids(outer_idx),
-        outer_start=o_start,
-        outer_end=o_end,
-        inner_start=i_start,
-        inner_end=i_end,
-        noise_sentence=corpus.sentence_ids(noise_idx),
-        noise_start=n_start,
-        noise_end=n_end,
-        language_tag=corpus.language_tag,
-        sentence_index=outer_idx,
-        noise_index=noise_idx,
-    )
-
-
 def sample_phrase_triples(corpus: EncodedCorpus, rng: np.random.Generator, n: int) -> TripleBatch:
-    """Vectorized batch with the same per-sample distribution as
-    :func:`sample_phrase_triple`."""
+    """Draw n (outer, inner, noise) phrase triples.
+
+    Each outer sentence is uniform over sentences of length >= 3; the outer
+    span's start is uniform in [0, L-3], then its end uniform in
+    [start+3, L], and the inner span is drawn likewise within the outer
+    span. The noise sentence is drawn uniformly and redrawn once if it
+    collides with the outer sentence, then kept either way, so a
+    single-sentence corpus noise-samples the outer sentence itself.
+    """
     elig = corpus.eligible
     if elig.size == 0:
         raise SamplingError("no sentence of length >= 3 to sample phrases from")
@@ -569,6 +437,7 @@ def sample_phrase_triples(corpus: EncodedCorpus, rng: np.random.Generator, n: in
 
 
 def sample_bilingual_pairs(corpus: ParallelCorpus, rng: np.random.Generator, n: int) -> PairBatch:
+    """n aligned pairs drawn uniformly; whole sentences, no sub-spans."""
     if len(corpus) == 0:
         raise SamplingError("cannot sample from an empty parallel corpus")
     idx = rng.integers(0, len(corpus), size=n)

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import SpanSet
+from .corpus import SpanSet, atomic_write
 from .errors import CompositionError, DataError
 
 
@@ -124,62 +124,15 @@ class TablePair:
 
 
 # ---------------------------------------------------------------------------
-# composition, one span at a time
-
-
-def compose_add(word_vectors) -> ComposedVector:
-    """Componentwise sum of the word vectors; order does not matter."""
-    v = np.asarray(word_vectors)
-    if v.ndim != 2 or v.shape[0] < 1:
-        raise CompositionError("compose_add needs at least one word vector")
-    return ComposedVector(v.sum(axis=0), v.shape[0])
-
-
-def compose_bi(word_vectors) -> ComposedVector:
-    """Sum of tanh over vector sums of adjacent word bigrams (order matters)."""
-    v = np.asarray(word_vectors)
-    if v.ndim != 2 or v.shape[0] < 2:
-        raise CompositionError("compose_bi needs at least two word vectors")
-    return ComposedVector(np.tanh(v[:-1] + v[1:]).sum(axis=0), v.shape[0])
-
-
-def compose(kind, word_vectors) -> ComposedVector:
-    kind = CompositionKind.coerce(kind)
-    if kind is CompositionKind.ADD:
-        return compose_add(word_vectors)
-    return compose_bi(word_vectors)
-
-
-def compose_backward(kind, word_vectors, upstream_grad: np.ndarray) -> np.ndarray:
-    """Per-word gradients of the composed vector against an upstream gradient.
-
-    Add reproduces the upstream gradient for every word; Bi routes
-    (1 - tanh^2) factors of each bigram to both of its words.
-    """
-    kind = CompositionKind.coerce(kind)
-    v = np.asarray(word_vectors)
-    g = np.asarray(upstream_grad)
-    if v.ndim != 2 or g.shape != (v.shape[1],):
-        raise CompositionError("word_vectors must be (l, d) and upstream_grad (d,)")
-    if kind is CompositionKind.ADD:
-        if v.shape[0] < 1:
-            raise CompositionError("compose_add needs at least one word vector")
-        return np.broadcast_to(g, v.shape).copy()
-    if v.shape[0] < 2:
-        raise CompositionError("compose_bi needs at least two word vectors")
-    d = (1.0 - np.tanh(v[:-1] + v[1:]) ** 2) * g
-    out = np.zeros_like(v)
-    out[:-1] += d
-    out[1:] += d
-    return out
+# sentence and document composition
 
 
 def sentence_vector(table: EmbeddingTable, word_ids, kind) -> np.ndarray:
     """Compose one encoded sentence.
 
-    Unlike the strict compose_* entry points, a single-word sentence under Bi
-    yields the zero vector (a sentence with no bigrams) so that real corpora
-    containing one-token sentences do not abort mid-run.
+    A single-word sentence under Bi yields the zero vector (a sentence with
+    no bigrams), so that real corpora containing one-token sentences do not
+    abort mid-run.
     """
     kind = CompositionKind.coerce(kind)
     rows = table.rows(word_ids)
@@ -299,7 +252,7 @@ def save_embeddings_text(path, tokens, matrix: np.ndarray) -> None:
         raise DataError(
             f"token count {len(tokens)} does not match matrix rows {matrix.shape[0]}"
         )
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
         for token, row in zip(tokens, matrix):
             f.write(token)
@@ -310,16 +263,19 @@ def save_embeddings_text(path, tokens, matrix: np.ndarray) -> None:
 
 def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
     with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 2:
-            raise DataError(f"{path}: malformed header, expected '<vocab_size> <dim>'")
-        n, dim = int(header[0]), int(header[1])
+        try:
+            n, dim = (int(x) for x in f.readline().split())
+            matrix = np.empty((n, dim), dtype=np.float64)
+        except ValueError:
+            raise DataError(f"{path}:1: malformed header, expected '<vocab_size> <dim>'")
         tokens = []
-        matrix = np.empty((n, dim), dtype=np.float64)
         for i in range(n):
             parts = f.readline().split()
             if len(parts) != dim + 1:
                 raise DataError(f"{path}: row {i} has {len(parts) - 1} values, expected {dim}")
             tokens.append(parts[0])
-            matrix[i] = [float(x) for x in parts[1:]]
+            try:
+                matrix[i] = [float(x) for x in parts[1:]]
+            except ValueError:
+                raise DataError(f"{path}:{i + 2}: non-numeric value in row {i}")
     return tokens, matrix

@@ -21,13 +21,7 @@ from functools import partial
 import numpy as np
 
 from .corpus import PairBatch, TripleBatch
-from .embeddings import (
-    ComposedVector,
-    CompositionKind,
-    SpanComposition,
-    TablePair,
-    column_blocks,
-)
+from .embeddings import CompositionKind, SpanComposition, TablePair, column_blocks
 from .errors import DataError
 
 
@@ -48,85 +42,6 @@ class LossBreakdown:
             regularizer,
             bilingual + mono_l1 + mono_l2 + regularizer,
         )
-
-
-def _values(v) -> np.ndarray:
-    return np.asarray(v.values if isinstance(v, ComposedVector) else v, dtype=np.float64)
-
-
-def _check_dims(*vecs):
-    dims = {v.shape[-1] for v in vecs}
-    if len(dims) != 1:
-        raise DataError(f"dimension mismatch between composed vectors: {sorted(dims)}")
-
-
-# ---------------------------------------------------------------------------
-# per-sample losses
-
-
-def bilingual_loss(v1, v2) -> float:
-    """Squared euclidean distance between two composed sentence vectors."""
-    a, b = _values(v1), _values(v2)
-    _check_dims(a, b)
-    diff = a - b
-    return float(diff @ diff)
-
-
-def bilingual_grad(v1, v2) -> tuple[np.ndarray, np.ndarray]:
-    a, b = _values(v1), _values(v2)
-    _check_dims(a, b)
-    diff = a - b
-    return 2.0 * diff, -2.0 * diff
-
-
-def _mono_parts(a_out: ComposedVector, a_in: ComposedVector, b_noise: ComposedVector, margin):
-    if margin < 0:
-        raise DataError(f"margin must be >= 0, got {margin}")
-    if a_in.source_len > a_out.source_len:
-        raise DataError(
-            f"inner phrase longer than outer: {a_in.source_len} > {a_out.source_len}"
-        )
-    ao, ai, bn = _values(a_out), _values(a_in), _values(b_noise)
-    _check_dims(ao, ai, bn)
-    diff_in = ao - ai
-    diff_no = ao - bn
-    d_in = float(diff_in @ diff_in)
-    d_no = float(diff_no @ diff_no)
-    ratio = a_in.source_len / a_out.source_len
-    return diff_in, diff_no, d_in, d_no, ratio
-
-
-def mono_loss(a_out: ComposedVector, a_in: ComposedVector, b_noise: ComposedVector, margin) -> float:
-    """Inclusion loss for one (outer, inner, noise) phrase triple.
-
-    With d_in the squared distance from the outer phrase to its sub-phrase
-    and d_no the squared distance to the noise phrase, the loss is
-
-        [max(0, margin + d_in - d_no) + d_in] * len_inner / len_outer
-
-    The extra d_in term keeps an error signal alive after the hinge is
-    satisfied; the length ratio compensates for span-length differences.
-    """
-    _, _, d_in, d_no, ratio = _mono_parts(a_out, a_in, b_noise, margin)
-    return (max(0.0, margin + d_in - d_no) + d_in) * ratio
-
-
-def mono_grad(a_out, a_in, b_noise, margin):
-    """Exact partial derivatives of :func:`mono_loss` w.r.t. the three
-    composed vectors. At the hinge kink the inactive branch is used."""
-    diff_in, diff_no, d_in, d_no, ratio = _mono_parts(a_out, a_in, b_noise, margin)
-    active = 1.0 if margin + d_in - d_no > 0.0 else 0.0
-    g_out = ratio * ((1.0 + active) * 2.0 * diff_in - active * 2.0 * diff_no)
-    g_in = -ratio * (1.0 + active) * 2.0 * diff_in
-    g_noise = ratio * active * 2.0 * diff_no
-    return g_out, g_in, g_noise
-
-
-def l2_regularizer(tables: TablePair, lam: float) -> float:
-    """Full penalty lam * sum of squared entries over both tables."""
-    if lam < 0:
-        raise DataError(f"lambda must be >= 0, got {lam}")
-    return lam * tables.sq_norm()
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +139,8 @@ def _pair_term(batch: PairBatch, columns, kind, acc) -> float:
 
 
 def _triple_term(batch: TripleBatch, columns, kind, margin, acc) -> float:
+    """Sum of [max(0, margin + d_in - d_no) + d_in] * len_inner / len_outer
+    over the triples; at the hinge kink the inactive branch is used."""
     matrix = columns[batch.language_tag]
     co = SpanComposition(kind, matrix, batch.outer)
     ci = SpanComposition(kind, matrix, batch.inner)
@@ -247,24 +164,10 @@ def _triple_term(batch: TripleBatch, columns, kind, margin, acc) -> float:
     return loss
 
 
-def _as_pair_batch(samples) -> PairBatch | None:
-    if samples is None or isinstance(samples, PairBatch):
-        return samples if samples is None or samples.n else None
-    samples = list(samples)
-    return PairBatch.from_pairs(samples) if samples else None
-
-
-def _as_triple_batch(samples) -> TripleBatch | None:
-    if samples is None or isinstance(samples, TripleBatch):
-        return samples if samples is None or samples.n else None
-    samples = list(samples)
-    return TripleBatch.from_triples(samples) if samples else None
-
-
 def batch_loss_and_grad(
-    bi_samples,
-    mono_samples_l1,
-    mono_samples_l2,
+    bi_samples: PairBatch | None,
+    mono_samples_l1: TripleBatch | None,
+    mono_samples_l2: TripleBatch | None,
     tables: TablePair,
     kind="add",
     margin: float = 40.0,
@@ -273,8 +176,7 @@ def batch_loss_and_grad(
     """Summed loss over a mixed batch plus its exact sparse gradient; the
     one batch path, shared by training and the gradient oracles.
 
-    Sample arguments may be lists of SentencePair / PhraseTriple objects or
-    the pre-packed PairBatch / TripleBatch forms; empty sources may be None.
+    An absent or empty source may be None or a batch of zero samples.
     Rows touched by several samples accumulate additively, each row's terms
     summed in a fixed order whatever the column block width. The returned
     accumulator is already coalesced: ``acc.coalesced`` holds the unique ids
@@ -290,10 +192,10 @@ def batch_loss_and_grad(
         raise DataError(f"lambda must be >= 0, got {lam}")
     acc = GradientAccumulator(tables.dim)
 
-    pair_batch = _as_pair_batch(bi_samples)
+    pair_batch, triple_l1, triple_l2 = (
+        b if b is not None and b.n else None for b in (bi_samples, mono_samples_l1, mono_samples_l2)
+    )
     tag1, tag2 = tables.tags
-    triple_l1 = _as_triple_batch(mono_samples_l1)
-    triple_l2 = _as_triple_batch(mono_samples_l2)
     if triple_l1 is not None and triple_l1.language_tag != tag1:
         raise DataError(f"mono_samples_l1 carries tag {triple_l1.language_tag!r}, expected {tag1!r}")
     if triple_l2 is not None and triple_l2.language_tag != tag2:

@@ -10,7 +10,6 @@ including across a checkpoint/resume boundary.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -19,6 +18,7 @@ from .corpus import (
     EncodedCorpus,
     ParallelCorpus,
     Vocabulary,
+    atomic_write,
     sample_bilingual_pairs,
     sample_phrase_triples,
 )
@@ -109,22 +109,12 @@ class AdaGradState:
         )
 
 
-def adagrad_update(row, grad_row, g_row, lr: float, eps: float):
-    """One AdaGrad step on a single row, in place:
-    G += g^2 then w -= lr * g / (sqrt(G) + eps)."""
-    grad_row = np.asarray(grad_row)
-    if not np.isfinite(grad_row).all():
-        raise TrainingError(f"non-finite gradient in update: {grad_row}")
-    g_row += grad_row * grad_row
-    row -= lr * grad_row / (np.sqrt(g_row) + eps)
-    return row
-
-
 def apply_sparse_update(
     table: EmbeddingTable, g_matrix: np.ndarray, ids: np.ndarray, grads: np.ndarray,
     lr: float, eps: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized AdaGrad over the unique touched rows of one table.
+    """Vectorized AdaGrad over the unique touched rows of one table:
+    G += g^2, then w -= lr * g / (sqrt(G) + eps).
 
     Returns the new accumulator rows and weight rows as (g_rows, w_rows),
     computed into new arrays and checked to be finite; nothing is written,
@@ -230,8 +220,7 @@ def save_checkpoint(path, tables: TablePair, state: AdaGradState, config: TrainC
     """Single-file binary archive with a versioned header; written via a
     temp file so aborted saves never leave a partial checkpoint behind."""
     tag1, tag2 = tables.tags
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
+    with atomic_write(path, "wb") as f:
         np.savez(
             f,
             magic=np.array(CHECKPOINT_MAGIC),
@@ -245,7 +234,6 @@ def save_checkpoint(path, tables: TablePair, state: AdaGradState, config: TrainC
             epoch=np.array(epoch),
             rng_state=np.array(json.dumps(rng.bit_generator.state)),
         )
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path):

@@ -3,6 +3,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -12,6 +13,7 @@ from synthdata import SynthWorld, make_world  # noqa: E402
 from xlembed.corpus import (  # noqa: E402
     EncodedCorpus,
     ParallelCorpus,
+    SpanSet,
     build_vocabulary,
     iter_tokens,
 )
@@ -31,6 +33,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
+
+
+def spans(*id_lists) -> SpanSet:
+    """A SpanSet of hand-written spans, one id list each."""
+    return SpanSet(
+        np.concatenate([np.asarray(ids, dtype=np.int64) for ids in id_lists]),
+        np.array([len(ids) for ids in id_lists], dtype=np.int64),
+    )
 
 
 @dataclass

@@ -278,6 +278,14 @@ class TestNnCommand:
     def test_no_query_is_usage_error(self, model_dir):
         assert main(["nn", "--embeddings", str(model_dir / "en.vec")]) == 1
 
+    @pytest.mark.parametrize("text", ["x 2\nfoo 1.0 2.0\n", "1 2\nfoo 1.0 abc\n"])
+    def test_malformed_number_is_data_error(self, tmp_path, capsys, text):
+        vec = tmp_path / "bad.vec"
+        vec.write_text(text)
+        assert main(["nn", "--embeddings", str(vec), "--query", "foo"]) == 2
+        err = capsys.readouterr().err
+        assert "bad.vec" in err and err.count("\n") == 1
+
 
 def write_docs(path, docs):
     with open(path, "w", encoding="utf-8") as f:

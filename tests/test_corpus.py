@@ -4,8 +4,6 @@ import pytest
 from xlembed.corpus import (
     EncodedCorpus,
     ParallelCorpus,
-    Sentence,
-    SentencePair,
     Vocabulary,
     build_vocabulary,
     decode,
@@ -159,6 +157,12 @@ class TestVocabulary:
         with pytest.raises(DataError):
             Vocabulary.load(path)
 
+    def test_load_rejects_non_integer_count(self, tmp_path):
+        path = tmp_path / "bad.vocab"
+        path.write_text("<unk>\t0\nfoo\tabc\n")
+        with pytest.raises(DataError, match=r"bad\.vocab:2:"):
+            Vocabulary.load(path)
+
     def test_merge_sums_counts_and_reassigns_ids(self):
         v1 = build_vocabulary(["a"] * 3 + ["b"] * 2, 1, "en")
         v2 = build_vocabulary(["b"] * 4 + ["c"] * 2 + ["d"], 2, "en")
@@ -227,8 +231,6 @@ class TestEncodedCorpus:
         b = EncodedCorpus([np.array([1, 2])], "en")
         with pytest.raises(DataError):
             ParallelCorpus(a, b)
-        with pytest.raises(DataError):
-            SentencePair(Sentence(np.array([1]), "en"), Sentence(np.array([2]), "en"))
 
     def test_limited_keeps_first_pairs(self):
         a = EncodedCorpus([np.array([i, i, i]) for i in range(5)], "en")

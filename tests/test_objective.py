@@ -2,62 +2,95 @@ import hashlib
 from dataclasses import astuple
 
 import numpy as np
+import oracle
 import pytest
 
-from conftest import build_training_data
+from conftest import build_training_data, spans
 
 from xlembed.corpus import (
     EncodedCorpus,
+    PairBatch,
     ParallelCorpus,
-    PhraseTriple,
-    Sentence,
-    SentencePair,
+    TripleBatch,
     sample_bilingual_pairs,
-    sample_phrase_triple,
     sample_phrase_triples,
 )
 from xlembed import embeddings
-from xlembed.embeddings import ComposedVector, TablePair, init_table
+from xlembed.embeddings import EmbeddingTable, TablePair, init_table
 from xlembed.errors import DataError
 from xlembed.objective import (
     GradientAccumulator,
     LossBreakdown,
     batch_loss,
     batch_loss_and_grad,
-    bilingual_grad,
-    bilingual_loss,
-    l2_regularizer,
-    mono_grad,
-    mono_loss,
     row_blocks,
 )
-from xlembed.trainer import TrainConfig, make_batch, proportional_mix
+from xlembed.trainer import (
+    AdaGradState,
+    Batch,
+    TrainConfig,
+    make_batch,
+    proportional_mix,
+    train_step,
+)
 
 
-def cv(values, source_len):
-    return ComposedVector(np.asarray(values, dtype=float), source_len)
+def tables_of(matrix_l1, matrix_l2) -> TablePair:
+    return TablePair(
+        EmbeddingTable(np.array(matrix_l1, dtype=float), "en"),
+        EmbeddingTable(np.array(matrix_l2, dtype=float), "de"),
+    )
+
+
+def one_pair(a, b):
+    """Bilingual loss and the two word gradients of one Add pair whose sides
+    are the single words a and b."""
+    tables = tables_of([a], [b])
+    pair = PairBatch("en", "de", spans([0]), spans([0]))
+    breakdown, acc = batch_loss_and_grad(pair, None, None, tables, "add", 0.0, 0.0)
+    return breakdown.bilingual, acc.coalesced["en"][1][0], acc.coalesced["de"][1][0]
+
+
+def one_triple(ao, ai, bn, len_outer, len_inner, margin, len_noise=3):
+    """Inclusion loss and the (outer, inner, noise) gradients of one Add
+    triple whose phrases compose to ao, ai and bn: each phrase is its own
+    word padded with zero-vector words to the given length."""
+    m = np.array([np.zeros(len(ao)), ao, ai, bn], dtype=float)
+    triple = TripleBatch(
+        "en",
+        spans([1] + [0] * (len_outer - 1)),
+        spans([2] + [0] * (len_inner - 1)),
+        spans([3] + [0] * (len_noise - 1)),
+    )
+    breakdown, acc = batch_loss_and_grad(
+        None, triple, None, tables_of(m, [m[0]]), "add", margin, 0.0
+    )
+    ids, rows = acc.coalesced["en"]
+    grads = np.zeros_like(m)
+    grads[ids] = rows
+    return breakdown.mono_l1, grads[1], grads[2], grads[3]
 
 
 class TestBilingualLoss:
     def test_identical_vectors_zero(self):
-        assert bilingual_loss(cv([1.0, 2.0], 3), cv([1.0, 2.0], 4)) == 0.0
+        assert one_pair([1.0, 2.0], [1.0, 2.0])[0] == 0.0
 
     def test_hand_value(self):
-        assert bilingual_loss(cv([1.0, 2.0], 3), cv([0.0, 0.0], 3)) == 5.0
+        assert one_pair([1.0, 2.0], [0.0, 0.0])[0] == 5.0
 
     def test_symmetric(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             a, b = rng.normal(size=(2, 6))
-            assert bilingual_loss(a, b) == bilingual_loss(b, a)
+            assert one_pair(a, b)[0] == one_pair(b, a)[0]
 
     def test_grad_hand_value(self):
-        g1, g2 = bilingual_grad(cv([1.0, 2.0], 3), cv([0.0, 0.0], 3))
+        _, g1, g2 = one_pair([1.0, 2.0], [0.0, 0.0])
         assert g1.tolist() == [2.0, 4.0]
         assert g2.tolist() == [-2.0, -4.0]
 
     def test_grad_zero_at_equal_vectors(self):
-        g1, g2 = bilingual_grad([3.0, 3.0], [3.0, 3.0])
+        _, g1, g2 = one_pair([3.0, 3.0], [3.0, 3.0])
         assert (g1 == 0).all() and (g2 == 0).all()
 
     def test_grad_matches_central_differences(self):
@@ -65,32 +98,27 @@ class TestBilingualLoss:
         h = 1e-5
         for _ in range(10):
             a, b = rng.normal(size=(2, 5))
-            g1, g2 = bilingual_grad(a, b)
+            _, g1, g2 = one_pair(a, b)
             for vec, grad in ((a, g1), (b, g2)):
                 for j in range(5):
                     orig = vec[j]
                     vec[j] = orig + h
-                    fp = bilingual_loss(a, b)
+                    fp = one_pair(a, b)[0]
                     vec[j] = orig - h
-                    fm = bilingual_loss(a, b)
+                    fm = one_pair(a, b)[0]
                     vec[j] = orig
                     fd = (fp - fm) / (2 * h)
                     assert abs(grad[j] - fd) <= 1e-8 * max(1.0, abs(fd))
 
-    def test_dim_mismatch(self):
-        with pytest.raises(DataError):
-            bilingual_loss([1.0, 2.0], [1.0, 2.0, 3.0])
-
 
 class TestMonoLoss:
     def test_satisfied_hinge_zero_inner_distance(self):
-        out = mono_loss(cv([0, 0], 3), cv([0, 0], 3), cv([3, 0], 3), margin=4.0)
-        assert out == 0.0
+        assert one_triple([0, 0], [0, 0], [3, 0], 3, 3, margin=4.0)[0] == 0.0
 
     def test_hand_value(self):
         # d_in = 1, d_no = 0, hinge = max(0, 1 + 1 - 0) = 2, ratio = 3/6
-        out = mono_loss(cv([1, 0], 6), cv([0, 0], 3), cv([1, 0], 3), margin=1.0)
-        assert out == pytest.approx(1.5, abs=1e-15)
+        loss = one_triple([1, 0], [0, 0], [1, 0], 6, 3, margin=1.0)[0]
+        assert loss == pytest.approx(1.5, abs=1e-15)
 
     def test_nonnegative_and_at_least_scaled_inner_distance(self):
         rng = np.random.default_rng(2)
@@ -98,37 +126,30 @@ class TestMonoLoss:
             ao, ai, bn = rng.normal(size=(3, 4))
             lo = int(rng.integers(3, 10))
             li = int(rng.integers(3, lo + 1))
-            loss = mono_loss(cv(ao, lo), cv(ai, li), cv(bn, 5), margin=2.0)
+            loss = one_triple(ao, ai, bn, lo, li, margin=2.0, len_noise=5)[0]
             d_in = float(((ao - ai) ** 2).sum())
             assert loss >= d_in * li / lo - 1e-12
             assert loss >= 0.0
 
     def test_length_ratio_scale_invariance(self):
         ao, ai, bn = np.array([1.0, 2.0]), np.array([0.5, 1.0]), np.array([-1.0, 0.0])
-        a = mono_loss(cv(ao, 4), cv(ai, 3), cv(bn, 3), margin=1.0)
-        b = mono_loss(cv(ao, 8), cv(ai, 6), cv(bn, 3), margin=1.0)
+        a = one_triple(ao, ai, bn, 4, 3, margin=1.0)[0]
+        b = one_triple(ao, ai, bn, 8, 6, margin=1.0)[0]
         assert a == pytest.approx(b, rel=1e-15)
-
-    def test_inner_longer_than_outer_rejected(self):
-        with pytest.raises(DataError):
-            mono_loss(cv([0, 0], 3), cv([0, 0], 4), cv([1, 1], 3), margin=1.0)
 
 
 class TestMonoGrad:
     def test_inactive_hinge_case(self):
         # noise far away: only the d_in term contributes
-        ao, ai, bn = cv([1.0, 0.0], 4), cv([0.0, 0.0], 3), cv([100.0, 0.0], 3)
-        g_out, g_in, g_noise = mono_grad(ao, ai, bn, margin=1.0)
+        _, g_out, g_in, g_noise = one_triple([1.0, 0.0], [0.0, 0.0], [100.0, 0.0], 4, 3, 1.0)
         r = 3 / 4
         assert np.allclose(g_in, -2 * np.array([1.0, 0.0]) * r)
         assert np.allclose(g_noise, 0.0)
         assert np.allclose(g_out, 2 * np.array([1.0, 0.0]) * r)
 
     def test_outer_equals_inner_zeroes_inner_grad(self):
-        ao = cv([2.0, -1.0], 3)
-        ai = cv([2.0, -1.0], 3)
-        bn = cv([2.1, -1.0], 3)  # hinge active
-        g_out, g_in, g_noise = mono_grad(ao, ai, bn, margin=5.0)
+        # noise close by: hinge active
+        _, g_out, g_in, g_noise = one_triple([2.0, -1.0], [2.0, -1.0], [2.1, -1.0], 3, 3, 5.0)
         assert np.allclose(g_in, 0.0)
         assert not np.allclose(g_noise, 0.0)
 
@@ -145,14 +166,14 @@ class TestMonoGrad:
             d_no = float(((ao - bn) ** 2).sum())
             if abs(margin + d_in - d_no) <= 1e-4:
                 continue
-            grads = mono_grad(cv(ao, lo), cv(ai, li), cv(bn, 5), margin)
+            grads = one_triple(ao, ai, bn, lo, li, margin, 5)[1:]
             for vec, grad in zip((ao, ai, bn), grads):
                 for j in range(4):
                     orig = vec[j]
                     vec[j] = orig + h
-                    fp = mono_loss(cv(ao, lo), cv(ai, li), cv(bn, 5), margin)
+                    fp = one_triple(ao, ai, bn, lo, li, margin, 5)[0]
                     vec[j] = orig - h
-                    fm = mono_loss(cv(ao, lo), cv(ai, li), cv(bn, 5), margin)
+                    fm = one_triple(ao, ai, bn, lo, li, margin, 5)[0]
                     vec[j] = orig
                     fd = (fp - fm) / (2 * h)
                     assert abs(grad[j] - fd) <= 1e-6 * max(1.0, abs(fd), abs(grad[j]))
@@ -160,35 +181,24 @@ class TestMonoGrad:
 
 
 class TestRegularizer:
-    def _tables(self, matrix_l1, matrix_l2):
-        from xlembed.embeddings import EmbeddingTable
-
-        return TablePair(
-            EmbeddingTable(np.asarray(matrix_l1, dtype=float), "en"),
-            EmbeddingTable(np.asarray(matrix_l2, dtype=float), "de"),
-        )
-
     def test_full_penalty_hand_value(self):
-        tables = self._tables([[3.0, 4.0]], [[0.0, 0.0]])
-        assert l2_regularizer(tables, 1.0) == 25.0
-        assert l2_regularizer(tables, 0.5) == 12.5
+        # a batch touching every row has lam_eff = lam: the full penalty
+        tables = tables_of([[3.0, 4.0]], [[0.0, 0.0]])
+        pair = PairBatch("en", "de", spans([0]), spans([0]))
+        assert batch_loss(pair, None, None, tables, "add", 0.0, 1.0).regularizer == 25.0
+        assert batch_loss(pair, None, None, tables, "add", 0.0, 0.5).regularizer == 12.5
 
     def test_lambda_zero_no_gradient_effect(self):
-        tables = self._tables([[1.0, 1.0], [2.0, 2.0]], [[1.0, 0.0], [0.0, 1.0]])
-        pair = SentencePair(Sentence(np.array([0, 1]), "en"), Sentence(np.array([0]), "de"))
-        b0, acc0 = batch_loss_and_grad([pair], None, None, tables, "add", 1.0, 0.0)
+        tables = tables_of([[1.0, 1.0], [2.0, 2.0]], [[1.0, 0.0], [0.0, 1.0]])
+        pair = PairBatch("en", "de", spans([0, 1]), spans([0]))
+        b0, acc0 = batch_loss_and_grad(pair, None, None, tables, "add", 1.0, 0.0)
         assert b0.regularizer == 0.0
 
     def test_stochastic_rule_hand_value(self):
         # one touched row (3,4) out of 2 total rows: lam_eff = 1 * 1/2
-        tables = self._tables([[3.0, 4.0]], [[9.0, 9.0]])
-        triple = PhraseTriple(
-            outer_sentence=np.array([0, 0, 0]),
-            outer_start=0, outer_end=3, inner_start=0, inner_end=3,
-            noise_sentence=np.array([0, 0, 0]), noise_start=0, noise_end=3,
-            language_tag="en",
-        )
-        breakdown, acc = batch_loss_and_grad(None, [triple], None, tables, "add", 0.0, 1.0)
+        tables = tables_of([[3.0, 4.0]], [[9.0, 9.0]])
+        triple = TripleBatch("en", *[spans([0, 0, 0])] * 3)
+        breakdown, acc = batch_loss_and_grad(None, triple, None, tables, "add", 0.0, 1.0)
         lam_eff = 1.0 * 1 / 2
         assert breakdown.regularizer == pytest.approx(lam_eff * 25.0)
         ids, grads = acc.coalesced["en"]
@@ -199,15 +209,10 @@ class TestRegularizer:
         # en row 1 is on the pair's l1 side and in the l1 triple; the data
         # terms vanish (equal pair vectors, outer == inner == noise, margin
         # 0), so the whole gradient is the regularizer's
-        tables = self._tables([[0.0, 0.0], [3.0, 4.0], [1.0, 2.0]], [[0.0, 0.0], [3.0, 4.0]])
-        pair = SentencePair(Sentence(np.array([1]), "en"), Sentence(np.array([1]), "de"))
-        triple = PhraseTriple(
-            outer_sentence=np.array([1, 2, 1]),
-            outer_start=0, outer_end=3, inner_start=0, inner_end=3,
-            noise_sentence=np.array([1, 2, 1]), noise_start=0, noise_end=3,
-            language_tag="en",
-        )
-        breakdown, acc = batch_loss_and_grad([pair], [triple], None, tables, "add", 0.0, 1.0)
+        tables = tables_of([[0.0, 0.0], [3.0, 4.0], [1.0, 2.0]], [[0.0, 0.0], [3.0, 4.0]])
+        pair = PairBatch("en", "de", spans([1]), spans([1]))
+        triple = TripleBatch("en", *[spans([1, 2, 1])] * 3)
+        breakdown, acc = batch_loss_and_grad(pair, triple, None, tables, "add", 0.0, 1.0)
         assert breakdown.bilingual == 0.0 and breakdown.mono_l1 == 0.0
         # en {1, 2} and de {1}, not 4
         assert sum(ids.size for ids, _ in acc.coalesced.values()) == 3
@@ -220,22 +225,13 @@ class TestRegularizer:
         assert np.allclose(de_grads, 2 * lam_eff * np.array([[3.0, 4.0]]))
 
     def test_pure_regularizer_shrinks_row_norms(self):
-        from xlembed.trainer import AdaGradState, TrainConfig, train_step, Batch
-        from xlembed.corpus import TripleBatch, SpanSet
-
-        tables = self._tables([[3.0, 4.0], [1.0, -2.0]], [[2.0, 2.0]])
+        tables = tables_of([[3.0, 4.0], [1.0, -2.0]], [[2.0, 2.0]])
         # outer == inner == noise: data gradients are exactly zero
-        triple = PhraseTriple(
-            outer_sentence=np.array([0, 1, 0]),
-            outer_start=0, outer_end=3, inner_start=0, inner_end=3,
-            noise_sentence=np.array([0, 1, 0]), noise_start=0, noise_end=3,
-            language_tag="en",
-        )
+        batch = Batch(mono_l1=TripleBatch("en", *[spans([0, 1, 0])] * 3))
         norms_before = np.linalg.norm(tables.l1.matrix, axis=1).copy()
         config = TrainConfig(dim=2, lam=1.0, margin=0.0, batch_size=1)
         state = AdaGradState.zeros(tables)
         for _ in range(5):
-            batch = Batch(mono_l1=TripleBatch.from_triples([triple]))
             train_step(batch, tables, state, config)
             norms_after = np.linalg.norm(tables.l1.matrix, axis=1)
             assert (norms_after <= norms_before + 1e-12).all()
@@ -266,12 +262,9 @@ class TestBatchLossAndGrad:
         assert acc.coalesced == {}
 
     def test_identical_pair_zero_bilingual_term(self):
-        from xlembed.embeddings import EmbeddingTable
-
-        m = np.array([[0.0, 0.0], [1.0, 2.0]])
-        tables = TablePair(EmbeddingTable(m.copy(), "en"), EmbeddingTable(m.copy(), "de"))
-        pair = SentencePair(Sentence(np.array([1, 1]), "en"), Sentence(np.array([1, 1]), "de"))
-        breakdown, _ = batch_loss_and_grad([pair], None, None, tables, "add", 1.0, 0.0)
+        m = [[0.0, 0.0], [1.0, 2.0]]
+        pair = PairBatch("en", "de", spans([1, 1]), spans([1, 1]))
+        breakdown, _ = batch_loss_and_grad(pair, None, None, tables_of(m, m), "add", 1.0, 0.0)
         assert breakdown.bilingual == 0.0
 
     def test_breakdown_total_is_sum_of_parts(self):
@@ -284,13 +277,9 @@ class TestBatchLossAndGrad:
             assert min(b.bilingual, b.mono_l1, b.mono_l2, b.regularizer) >= 0.0
 
     def test_accumulator_addition_across_repeated_words(self):
-        from xlembed.embeddings import EmbeddingTable
-
-        m1 = np.array([[0.0, 0.0], [1.0, 0.0]])
-        m2 = np.array([[0.0, 0.0], [0.0, 0.0]])
-        tables = TablePair(EmbeddingTable(m1, "en"), EmbeddingTable(m2, "de"))
-        pair = SentencePair(Sentence(np.array([1, 1]), "en"), Sentence(np.array([0]), "de"))
-        _, acc = batch_loss_and_grad([pair], None, None, tables, "add", 1.0, 0.0)
+        tables = tables_of([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
+        pair = PairBatch("en", "de", spans([1, 1]), spans([0]))
+        _, acc = batch_loss_and_grad(pair, None, None, tables, "add", 1.0, 0.0)
         # v1 = (2, 0), v2 = (0, 0): grad per occurrence of word 1 is 2*diff
         ids, grads = acc.coalesced["en"]
         assert ids.tolist() == [1]
@@ -299,40 +288,31 @@ class TestBatchLossAndGrad:
     def test_scalar_and_batch_paths_agree(self):
         rng = np.random.default_rng(9)
         sents = [rng.integers(0, 8, size=5).astype(np.int32) for _ in range(4)]
-        ce = EncodedCorpus(sents, "en")
-        triples = [sample_phrase_triple(ce, rng) for _ in range(3)]
+        triples = sample_phrase_triples(EncodedCorpus(sents, "en"), rng, 3)
         tables = TablePair(
             init_table(8, 3, 0.4, (9, 0), "en"), init_table(8, 3, 0.4, (9, 1), "de")
         )
-        margin = 2.0
-        b, _ = batch_loss_and_grad(None, triples, None, tables, "add", margin, 0.0)
-        from xlembed.embeddings import compose_add
-
-        expected = sum(
-            mono_loss(
-                compose_add(tables.l1.matrix[t.outer_ids]),
-                compose_add(tables.l1.matrix[t.inner_ids]),
-                compose_add(tables.l1.matrix[t.noise_ids]),
-                margin,
+        m, margin = tables.l1.matrix, 2.0
+        split = [
+            np.split(s.ids, np.cumsum(s.lengths)[:-1])
+            for s in (triples.outer, triples.inner, triples.noise)
+        ]
+        for kind in ("add", "bi"):
+            b, _ = batch_loss_and_grad(None, triples, None, tables, kind, margin, 0.0)
+            expected = sum(
+                oracle.mono_loss(
+                    *(oracle.compose(kind, m[ids]) for ids in (o, i, n)), o.size, i.size, margin
+                )
+                for o, i, n in zip(*split)
             )
-            for t in triples
-        )
-        assert b.mono_l1 == pytest.approx(expected, rel=1e-12)
+            assert b.mono_l1 == pytest.approx(expected, rel=1e-12)
 
     def test_satisfied_batch_with_zero_lambda_has_zero_accumulator(self):
-        from xlembed.embeddings import EmbeddingTable
-
-        m = np.array([[0.0, 0.0], [1.0, 2.0], [5.0, 5.0]])
-        tables = TablePair(EmbeddingTable(m.copy(), "en"), EmbeddingTable(m.copy(), "de"))
-        pair = SentencePair(Sentence(np.array([1, 2]), "en"), Sentence(np.array([1, 2]), "de"))
+        m = [[0.0, 0.0], [1.0, 2.0], [5.0, 5.0]]
+        pair = PairBatch("en", "de", spans([1, 2]), spans([1, 2]))
         # outer == inner and the noise phrase is far: hinge inactive, d_in = 0
-        triple = PhraseTriple(
-            outer_sentence=np.array([1, 1, 1]),
-            outer_start=0, outer_end=3, inner_start=0, inner_end=3,
-            noise_sentence=np.array([2, 2, 2]), noise_start=0, noise_end=3,
-            language_tag="en",
-        )
-        breakdown, acc = batch_loss_and_grad([pair], [triple], None, tables, "add", 1.0, 0.0)
+        triple = TripleBatch("en", spans([1, 1, 1]), spans([1, 1, 1]), spans([2, 2, 2]))
+        breakdown, acc = batch_loss_and_grad(pair, triple, None, tables_of(m, m), "add", 1.0, 0.0)
         assert breakdown.total == 0.0
         for tag, (ids, grads) in acc.coalesce().items():
             assert np.allclose(grads, 0.0, atol=1e-15)

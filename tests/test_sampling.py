@@ -6,9 +6,7 @@ import pytest
 from xlembed.corpus import (
     EncodedCorpus,
     ParallelCorpus,
-    sample_bilingual_pair,
     sample_bilingual_pairs,
-    sample_phrase_triple,
     sample_phrase_triples,
 )
 from xlembed.errors import SamplingError
@@ -22,30 +20,37 @@ def span_probability(length, start, end):
     return 1.0 / (n_starts * n_ends)
 
 
+def firsts(span_set):
+    """The first id of every span."""
+    return span_set.ids[np.cumsum(span_set.lengths) - span_set.lengths]
+
+
+def positional_corpus(lengths):
+    """Sentence s holds the ids 1000 * s + position, so every sampled id
+    tells its sentence and position."""
+    return EncodedCorpus([1000 * s + np.arange(n) for s, n in enumerate(lengths)], "en")
+
+
 class TestPhraseTripleSampling:
     def test_single_short_sentence_forces_whole_spans(self):
         corpus = EncodedCorpus([np.array([7, 8, 9])], "en")
-        rng = np.random.default_rng(0)
-        t = sample_phrase_triple(corpus, rng)
-        assert (t.outer_start, t.outer_end) == (0, 3)
-        assert (t.inner_start, t.inner_end) == (0, 3)
-        assert (t.noise_start, t.noise_end) == (0, 3)
-        assert t.noise_index == t.sentence_index  # only one eligible sentence
+        batch = sample_phrase_triples(corpus, np.random.default_rng(0), 50)
+        # the only eligible sentence is also every noise sentence
+        for span in (batch.outer, batch.inner, batch.noise):
+            assert span.ids.tolist() == [7, 8, 9] * 50
 
     def test_no_eligible_sentence_raises(self):
         corpus = EncodedCorpus([np.array([1]), np.array([2, 3])], "en")
         with pytest.raises(SamplingError):
-            sample_phrase_triple(corpus, np.random.default_rng(0))
+            sample_phrase_triples(corpus, np.random.default_rng(0), 5)
 
     def test_outer_span_distribution_matches_product_of_uniforms(self):
         length = 6
         corpus = EncodedCorpus([np.arange(length) + 1], "en")
-        rng = np.random.default_rng(42)
         n = 100_000
-        counts = collections.Counter()
-        for _ in range(n):
-            t = sample_phrase_triple(corpus, rng)
-            counts[(t.outer_start, t.outer_end)] += 1
+        outer = sample_phrase_triples(corpus, np.random.default_rng(42), n).outer
+        starts = firsts(outer) - 1
+        counts = collections.Counter(zip(starts.tolist(), (starts + outer.lengths).tolist()))
         legal = {
             (s, e): span_probability(length, s, e)
             for s in range(length - 2)
@@ -65,7 +70,7 @@ class TestPhraseTripleSampling:
         batch = sample_phrase_triples(corpus, rng, n)
         # recover spans from flat lengths; outer spans of a single sentence
         # are identified by (length, first id) pairs
-        starts = batch.outer.ids[np.cumsum(batch.outer.lengths) - batch.outer.lengths] - 1
+        starts = firsts(batch.outer) - 1
         counts = collections.Counter(zip(starts.tolist(), (starts + batch.outer.lengths).tolist()))
         legal = {
             (s, s + l): span_probability(length, s, s + l)
@@ -78,11 +83,21 @@ class TestPhraseTripleSampling:
 
     def test_invariants_hold_over_many_samples(self):
         rng = np.random.default_rng(1)
-        sentences = [np.arange(rng.integers(1, 12)) for _ in range(40)]
-        corpus = EncodedCorpus(sentences, "en")
-        for _ in range(100_000):
-            t = sample_phrase_triple(corpus, rng)
-            t.validate()
+        lengths = rng.integers(1, 12, size=40)
+        batch = sample_phrase_triples(positional_corpus(lengths), rng, 100_000)
+        for span in (batch.outer, batch.inner, batch.noise):
+            # consecutive positions of one sentence, all inside it
+            sent, pos = np.divmod(span.ids, 1000)
+            starts = np.cumsum(span.lengths) - span.lengths
+            offset = np.arange(span.ids.size) - np.repeat(starts, span.lengths)
+            assert (sent == np.repeat(sent[starts], span.lengths)).all()
+            assert (pos == np.repeat(pos[starts], span.lengths) + offset).all()
+            assert (pos < lengths[sent]).all()
+        o_sent, o_start = np.divmod(firsts(batch.outer), 1000)
+        i_sent, i_start = np.divmod(firsts(batch.inner), 1000)
+        assert (i_sent == o_sent).all()
+        assert (i_start >= o_start).all()
+        assert (i_start + batch.inner.lengths <= o_start + batch.outer.lengths).all()
 
     def test_bulk_invariants_hold(self):
         rng = np.random.default_rng(2)
@@ -95,16 +110,14 @@ class TestPhraseTripleSampling:
         assert (batch.inner.lengths <= batch.outer.lengths).all()
 
     def test_noise_usually_differs_from_outer(self):
-        # with many eligible sentences the one-resample rule leaves only
-        # ~(1/n)^2 collisions
+        # the one-resample rule: over k eligible sentences the noise sentence
+        # equals the outer one with probability 1/k^2, not 1/k
         rng = np.random.default_rng(3)
-        corpus = EncodedCorpus([np.arange(5) for _ in range(50)], "en")
-        collisions = sum(
-            sample_phrase_triple(corpus, rng).noise_index
-            == sample_phrase_triple(corpus, rng).sentence_index
-            for _ in range(2000)
-        )
-        assert collisions < 2000 * 0.1
+        k, n = 5, 40_000
+        batch = sample_phrase_triples(positional_corpus([5] * k), rng, n)
+        same = (firsts(batch.noise) // 1000 == firsts(batch.outer) // 1000).mean()
+        p = 1 / k**2
+        assert abs(same - p) <= 4 * (p * (1 - p) / n) ** 0.5
 
 
 class TestBilingualSampling:
@@ -114,19 +127,15 @@ class TestBilingualSampling:
         return ParallelCorpus(a, b)
 
     def test_single_pair_corpus_always_that_pair(self):
-        corpus = self._corpus(1)
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            pair = sample_bilingual_pair(corpus, rng)
-            assert pair.l1_sentence.word_ids.tolist() == [1, 2, 3]
+        batch = sample_bilingual_pairs(self._corpus(1), np.random.default_rng(0), 10)
+        assert batch.side_l1.ids.tolist() == [1, 2, 3] * 10
+        assert batch.side_l2.ids.tolist() == [1, 2] * 10
 
     def test_uniform_over_pairs(self):
-        corpus = self._corpus(4)
-        rng = np.random.default_rng(5)
         n = 100_000
-        counts = collections.Counter(
-            sample_bilingual_pair(corpus, rng).l1_sentence.word_ids[0] for _ in range(n)
-        )
+        batch = sample_bilingual_pairs(self._corpus(4), np.random.default_rng(5), n)
+        assert (firsts(batch.side_l2) == firsts(batch.side_l1)).all()  # sides stay aligned
+        counts = collections.Counter(firsts(batch.side_l1).tolist())
         p = 0.25
         sigma = (p * (1 - p) / n) ** 0.5
         for first_id in (1, 2, 3, 4):
@@ -137,8 +146,7 @@ class TestBilingualSampling:
         rng = np.random.default_rng(6)
         n = 100_000
         batch = sample_bilingual_pairs(corpus, rng, n)
-        firsts = batch.side_l1.ids[np.cumsum(batch.side_l1.lengths) - batch.side_l1.lengths]
-        counts = collections.Counter(firsts.tolist())
+        counts = collections.Counter(firsts(batch.side_l1).tolist())
         p = 0.25
         sigma = (p * (1 - p) / n) ** 0.5
         for first_id in (1, 2, 3, 4):
@@ -162,4 +170,4 @@ class TestBilingualSampling:
         a = EncodedCorpus([], "en")
         b = EncodedCorpus([], "de")
         with pytest.raises(SamplingError):
-            sample_bilingual_pair(ParallelCorpus(a, b), np.random.default_rng(0))
+            sample_bilingual_pairs(ParallelCorpus(a, b), np.random.default_rng(0), 5)

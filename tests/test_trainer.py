@@ -1,8 +1,11 @@
 import numpy as np
+import oracle
 import pytest
+from conftest import spans
 
 from xlembed.corpus import (
     EncodedCorpus,
+    PairBatch,
     ParallelCorpus,
     TripleBatch,
     Vocabulary,
@@ -16,7 +19,6 @@ from xlembed.trainer import (
     Batch,
     TrainConfig,
     TrainingData,
-    adagrad_update,
     apply_sparse_update,
     load_checkpoint,
     make_batch,
@@ -81,49 +83,48 @@ class TestTrainConfig:
         assert sum(mix) == pytest.approx(1.0)
 
 
+def step_row(w, g_acc, grad, lr, eps):
+    """apply_sparse_update on a one-row table; returns the new (G, w) row."""
+    table = EmbeddingTable(np.array([w], dtype=float), "en")
+    g_rows, w_rows = apply_sparse_update(
+        table, np.array([g_acc], dtype=float), np.array([0]), np.array([grad], dtype=float),
+        lr, eps,
+    )
+    return g_rows[0], w_rows[0]
+
+
 class TestAdaGrad:
     def test_zero_gradient_no_change(self):
-        row = np.array([1.0, 2.0])
-        g = np.array([0.5, 0.5])
-        adagrad_update(row, np.zeros(2), g, lr=0.2, eps=1e-8)
-        assert row.tolist() == [1.0, 2.0]
+        g, w = step_row([1.0, 2.0], [0.5, 0.5], [0.0, 0.0], lr=0.2, eps=1e-8)
+        assert w.tolist() == [1.0, 2.0]
         assert g.tolist() == [0.5, 0.5]
 
     def test_first_step_size_is_learning_rate(self):
         # fresh accumulator: step = lr * g / (|g| + eps) ~ lr * sign(g)
-        row = np.zeros(2)
-        g = np.zeros(2)
-        adagrad_update(row, np.array([1.0, 0.0]), g, lr=0.2, eps=1e-12)
-        assert row[0] == pytest.approx(-0.2, rel=1e-9)
-        assert row[1] == 0.0
+        _, w = step_row([0.0, 0.0], [0.0, 0.0], [1.0, 0.0], lr=0.2, eps=1e-12)
+        assert w[0] == pytest.approx(-0.2, rel=1e-9)
+        assert w[1] == 0.0
 
     def test_repeated_identical_gradients_decay_as_inverse_sqrt(self):
-        row = np.zeros(1)
-        g_acc = np.zeros(1)
-        grad = np.array([2.0])
+        g, w = np.zeros(1), np.zeros(1)
         lr = 0.1
-        previous = 0.0
         for t in range(1, 21):
-            before = row[0]
-            adagrad_update(row, grad, g_acc, lr=lr, eps=1e-12)
-            step = before - row[0]
+            before = w[0]
+            g, w = step_row(w, g, [2.0], lr=lr, eps=1e-12)
             # closed form: G = t * g^2, step = lr * g / (sqrt(t) * |g|)
-            assert step == pytest.approx(lr / np.sqrt(t), rel=1e-9)
-            previous = step
+            assert before - w[0] == pytest.approx(lr / np.sqrt(t), rel=1e-9)
 
     def test_accumulator_monotone_nondecreasing(self):
         rng = np.random.default_rng(0)
-        row = np.zeros(4)
-        g_acc = np.zeros(4)
-        last = g_acc.copy()
+        g, w = np.zeros(4), np.zeros(4)
         for _ in range(50):
-            adagrad_update(row, rng.normal(size=4), g_acc, lr=0.1, eps=1e-8)
-            assert (g_acc >= last).all()
-            last = g_acc.copy()
+            last = g
+            g, w = step_row(w, g, rng.normal(size=4), lr=0.1, eps=1e-8)
+            assert (g >= last).all()
 
     def test_nonfinite_gradient_aborts(self):
         with pytest.raises(TrainingError):
-            adagrad_update(np.zeros(2), np.array([np.nan, 0.0]), np.zeros(2), 0.1, 1e-8)
+            step_row([0.0, 0.0], [0.0, 0.0], [np.nan, 0.0], 0.1, 1e-8)
 
     def test_vectorized_update_matches_row_loop(self):
         rng = np.random.default_rng(1)
@@ -136,10 +137,8 @@ class TestAdaGrad:
         g_rows, w_rows = apply_sparse_update(table, g_vec, ids, grads.copy(), lr=0.3, eps=1e-8)
         assert (table.matrix == matrix).all() and (g_vec == g_matrix).all()
         for r, i in enumerate(ids):
-            row = matrix[i].copy()
-            adagrad_update(row, grads[r], g_matrix[i], lr=0.3, eps=1e-8)
-            assert np.allclose(w_rows[r], row, atol=1e-15)
-            assert np.allclose(g_rows[r], g_matrix[i], atol=1e-15)
+            g_row, w_row = oracle.adagrad_step(matrix[i], g_matrix[i], grads[r], 0.3, 1e-8)
+            assert (w_rows[r] == w_row).all() and (g_rows[r] == g_row).all()
 
 
 class TestTrainStep:
@@ -149,15 +148,7 @@ class TestTrainStep:
         state = AdaGradState.zeros(tables)
         config = TrainConfig(dim=2, lam=0.0, margin=0.0, batch_size=2)
         # outer == inner == noise spans: exactly zero data gradient
-        from xlembed.corpus import PhraseTriple
-
-        triple = PhraseTriple(
-            outer_sentence=np.array([1, 2, 1]),
-            outer_start=0, outer_end=3, inner_start=0, inner_end=3,
-            noise_sentence=np.array([1, 2, 1]), noise_start=0, noise_end=3,
-            language_tag="en",
-        )
-        batch = Batch(mono_l1=TripleBatch.from_triples([triple]))
+        batch = Batch(mono_l1=TripleBatch("en", *[spans([1, 2, 1])] * 3))
         before = tables.l1.matrix.copy()
         train_step(batch, tables, state, config)
         assert (tables.l1.matrix == before).all()
@@ -180,8 +171,6 @@ class TestTrainStep:
         assert after < before
 
     def test_overflowing_l2_update_leaves_both_tables_unchanged(self):
-        from xlembed.corpus import Sentence, SentencePair, PairBatch
-
         # v2 = [0, 2] from two huge rows, so every gradient is small, but at
         # learning rate 1e308 one of the two l2 rows steps past the float
         # range while the l1 row stays finite
@@ -191,12 +180,12 @@ class TestTrainStep:
         )
         state = AdaGradState.zeros(tables)
         state.g_by_tag["en"][:] = 2.0
-        pair = SentencePair(Sentence(np.array([0]), "en"), Sentence(np.array([0, 1]), "de"))
+        pair = PairBatch("en", "de", spans([0]), spans([0, 1]))
         config = TrainConfig(dim=2, lam=0.0, learning_rate=1e308, batch_size=1)
         before = [a.copy() for a in (tables.l1.matrix, tables.l2.matrix,
                                      state.g_by_tag["en"], state.g_by_tag["de"])]
         with pytest.raises(TrainingError):
-            train_step(Batch(pairs=PairBatch.from_pairs([pair])), tables, state, config)
+            train_step(Batch(pairs=pair), tables, state, config)
         after = (tables.l1.matrix, tables.l2.matrix, state.g_by_tag["en"], state.g_by_tag["de"])
         for old, new in zip(before, after):
             assert old.tobytes() == new.tobytes()
