@@ -314,6 +314,8 @@ class EncodedCorpus:
                     arrays.append(np.array([int(t) for t in line.split()], dtype=np.int32))
                 except ValueError:
                     raise DataError(f"{path}:{lineno + 1}: non-integer token id")
+                except OverflowError:
+                    raise DataError(f"{path}:{lineno + 1}: token id outside the int32 range")
         return cls(arrays, language_tag=language_tag)
 
 

@@ -5,11 +5,17 @@ Spans compose either by plain addition or by summing tanh over the vector
 sums of adjacent word bigrams, which makes the result order sensitive.
 Batched composition (:class:`SpanComposition`) runs dimension-major, one
 block of embedding columns at a time and builds no per-position gradient
-array; Bi keeps one (d, n_positions) tanh-derivative array.
+array; Bi keeps one (d, n_positions) tanh-derivative array. The column
+blocks of a call run side by side on a pool of one thread per usable core
+(:func:`run_blocks`); each block writes only its own columns, so the results
+are bit-identical whatever the thread count, and there is nothing to tune.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 
@@ -177,6 +183,43 @@ def column_blocks(dim: int, positions: int) -> list[slice]:
     return [slice(j, min(j + k, dim)) for j in range(0, dim, k)]
 
 
+def _block_pool() -> ThreadPoolExecutor | None:
+    """One thread per usable core, or no pool on a single core. Threads
+    start on the first multi-block call, so a process that never trains
+    starts none."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return ThreadPoolExecutor(cores, thread_name_prefix="xlembed-block") if cores > 1 else None
+
+
+BLOCK_POOL = _block_pool()
+
+
+def run_blocks(block, blocks: list[slice]) -> None:
+    """Call ``block(cols)`` for every column slice, side by side on
+    BLOCK_POOL. Each call must write only its own columns, so the results
+    do not depend on the thread count, and must not call run_blocks itself,
+    since waiting on the pool from a pool thread can deadlock.
+
+    A single block, or any call without a pool, runs in the calling thread.
+    Every pool call runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds there too. The first failing block's exception, in
+    block order, reaches the caller once every block has finished.
+    """
+    if BLOCK_POOL is None or len(blocks) == 1:
+        for cols in blocks:
+            block(cols)
+        return
+    futures = [
+        BLOCK_POOL.submit(contextvars.copy_context().run, block, cols) for cols in blocks
+    ]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
 def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Row sums of consecutive variable-length segments; empty segments sum
     to zero."""
@@ -194,9 +237,10 @@ class SpanComposition:
     The work is dimension-major: each block of columns (:func:`column_blocks`)
     gathers its columns for every position from ``matrix.T``, which is
     contiguous when ``matrix`` is column-major (``np.asfortranarray``), and
-    no per-position gradient array is built. ``values`` is C-ordered
-    (n_spans, d). Bi keeps one (d, n_positions) array, the tanh derivative
-    of every bigram indexed by the bigram's first position.
+    no per-position gradient array is built; the blocks run through
+    :func:`run_blocks`. ``values`` is C-ordered (n_spans, d). Bi keeps one
+    (d, n_positions) array, the tanh derivative of every bigram indexed by
+    the bigram's first position.
     """
 
     def __init__(self, kind, matrix: np.ndarray, span: SpanSet):
@@ -205,17 +249,21 @@ class SpanComposition:
         columns = matrix.T
         dim = columns.shape[0]
         self.values = np.empty((span.n, dim), dtype=matrix.dtype)
+        blocks = column_blocks(dim, span.ids.size)
         if self.kind is CompositionKind.ADD:
-            for cols in column_blocks(dim, span.ids.size):
+            def add_block(cols):
                 rows = columns[cols].take(span.ids, axis=1)
                 self.values[:, cols] = segment_sums(rows.T, span.lengths)
+
+            run_blocks(add_block, blocks)
             return
         # bigram p joins positions p and p + 1; none starts at a span's last
         # position, so that slot holds zero in both tanh and its derivative
         # (adding zero leaves every prefix sum, hence every value, unchanged)
         last = span.lengths.cumsum()[span.lengths > 0] - 1
         self._dtanh = np.empty((dim, span.ids.size), dtype=matrix.dtype)
-        for cols in column_blocks(dim, span.ids.size):
+
+        def bi_block(cols):
             rows = columns[cols].take(span.ids, axis=1)
             t = self._dtanh[cols]
             np.add(rows[:, :-1], rows[:, 1:], out=t[:, :-1])
@@ -225,6 +273,8 @@ class SpanComposition:
             np.multiply(t, t, out=t)
             np.subtract(1.0, t, out=t)
             t[:, last] = 0.0
+
+        run_blocks(bi_block, blocks)
 
     def position_grads(self, upstream: np.ndarray, cols: slice) -> np.ndarray:
         """Gradient of every flat position for the columns ``cols`` of one

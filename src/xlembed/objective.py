@@ -10,7 +10,11 @@ each mini-batch. Batch losses are plain sums over samples, not means.
 The batch path is dimension-major: compositions and the gradient
 accumulator work one block of embedding columns at a time over contiguous
 1-D data, and no per-position gradient array is built (Bi compositions
-keep one (d, n_positions) tanh-derivative array each).
+keep one (d, n_positions) tanh-derivative array each). The blocks of one
+call run side by side on one thread per usable core
+(:func:`xlembed.embeddings.run_blocks`); each writes only its own columns,
+so losses and gradients are bit-identical whatever the thread count, and
+there is nothing to tune.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .corpus import PairBatch, TripleBatch
-from .embeddings import CompositionKind, SpanComposition, TablePair, column_blocks
+from .embeddings import CompositionKind, SpanComposition, TablePair, column_blocks, run_blocks
 from .errors import DataError
 
 
@@ -57,8 +61,9 @@ class GradientAccumulator:
     of columns at a time and sums it into the unique rows with one
     ``bincount`` over flattened (column, row) cells, so no positions x dim
     gradient is ever built; every cell sums its terms from zero in chunk
-    order, then position order. The result stays readable as ``coalesced``
-    until the next :meth:`add`.
+    order, then position order. The blocks run through
+    :func:`xlembed.embeddings.run_blocks`. The result stays readable as
+    ``coalesced`` until the next :meth:`add`.
     """
 
     def __init__(self, dim: int):
@@ -86,7 +91,8 @@ class GradientAccumulator:
             # (column, row) cells of the first, widest block; a narrower
             # last block uses a prefix
             cells = (np.arange(blocks[0].stop)[:, None] * unique.size + inverse).ravel()
-            for cols in blocks:
+
+            def sum_block(cols):
                 width = cols.stop - cols.start
                 parts = []
                 for ids, grads in chunks:
@@ -101,6 +107,8 @@ class GradientAccumulator:
                     cells[: block.size], weights=block.ravel(), minlength=width * unique.size
                 )
                 summed[:, cols] = sums.reshape(width, unique.size).T
+
+            run_blocks(sum_block, blocks)
             # the sums replace the chunks, which frees their backward context
             # (Bi's tanh derivatives, the upstream arrays) once the sums exist
             self._chunks[tag] = [(unique, row_blocks(summed))]

@@ -10,6 +10,7 @@ including across a checkpoint/resume boundary.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -236,34 +237,52 @@ def save_checkpoint(path, tables: TablePair, state: AdaGradState, config: TrainC
         )
 
 
+def _read_archive(path) -> dict[str, np.ndarray]:
+    """Every array of the .npz archive at ``path``; an empty, cut or
+    corrupt file, or one that is no .npz archive, is a DataError."""
+    try:
+        # opened here, since np.load leaves its own file open when the
+        # archive fails to open
+        with open(path, "rb") as f:
+            z = np.load(f, allow_pickle=False)
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                raise DataError(f"{path} holds a single numpy array, not a checkpoint")
+            with z:
+                return {name: z[name] for name in z.files}
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        # np.load reads a file without a numpy or zip header as a pickle,
+        # which allow_pickle=False refuses with a ValueError
+        raise DataError(f"{path} is not a readable checkpoint archive")
+
+
 def load_checkpoint(path):
     """Returns (tables, state, config, epoch, rng) restored bit-exactly."""
-    with np.load(path, allow_pickle=False) as z:
-        if "magic" not in z or str(z["magic"]) != CHECKPOINT_MAGIC:
-            raise DataError(f"{path} is not a checkpoint file")
-        version = int(z["version"])
-        if version != CHECKPOINT_VERSION:
-            raise DataError(f"unsupported checkpoint version {version}")
-        tag1, tag2 = (str(t) for t in z["tags"])
-        tables = TablePair(
-            EmbeddingTable(z["table_l1"], tag1), EmbeddingTable(z["table_l2"], tag2)
-        )
-        state = AdaGradState({tag1: z["g_l1"].copy(), tag2: z["g_l2"].copy()})
-        for name, array in (("l1 table", tables.l1.matrix), ("l2 table", tables.l2.matrix),
-                            ("l1 accumulator", state.g_by_tag[tag1]),
-                            ("l2 accumulator", state.g_by_tag[tag2])):
-            if not np.isfinite(array).all():
-                raise DataError(f"{path}: checkpoint {name} holds non-finite values")
-        raw = json.loads(str(z["config"]))
-        unknown = sorted(set(raw) - {f.name for f in fields(TrainConfig)})
-        if unknown:
-            raise DataError(f"{path}: checkpoint config has unknown keys {unknown}")
-        if raw.get("mix") is not None:
-            raw["mix"] = tuple(raw["mix"])
-        config = TrainConfig(**raw)
-        epoch = int(z["epoch"])
-        rng = np.random.default_rng()
-        rng.bit_generator.state = json.loads(str(z["rng_state"]))
+    z = _read_archive(path)
+    if "magic" not in z or str(z["magic"]) != CHECKPOINT_MAGIC:
+        raise DataError(f"{path} is not a checkpoint file")
+    version = int(z["version"])
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"unsupported checkpoint version {version}")
+    tag1, tag2 = (str(t) for t in z["tags"])
+    tables = TablePair(
+        EmbeddingTable(z["table_l1"], tag1), EmbeddingTable(z["table_l2"], tag2)
+    )
+    state = AdaGradState({tag1: z["g_l1"], tag2: z["g_l2"]})
+    for name, array in (("l1 table", tables.l1.matrix), ("l2 table", tables.l2.matrix),
+                        ("l1 accumulator", state.g_by_tag[tag1]),
+                        ("l2 accumulator", state.g_by_tag[tag2])):
+        if not np.isfinite(array).all():
+            raise DataError(f"{path}: checkpoint {name} holds non-finite values")
+    raw = json.loads(str(z["config"]))
+    unknown = sorted(set(raw) - {f.name for f in fields(TrainConfig)})
+    if unknown:
+        raise DataError(f"{path}: checkpoint config has unknown keys {unknown}")
+    if raw.get("mix") is not None:
+        raw["mix"] = tuple(raw["mix"])
+    config = TrainConfig(**raw)
+    epoch = int(z["epoch"])
+    rng = np.random.default_rng()
+    rng.bit_generator.state = json.loads(str(z["rng_state"]))
     return tables, state, config, epoch, rng
 
 

@@ -1,5 +1,6 @@
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from synthdata import SynthWorld, make_world  # noqa: E402
 
+from xlembed import embeddings  # noqa: E402
 from xlembed.corpus import (  # noqa: E402
     EncodedCorpus,
     ParallelCorpus,
@@ -41,6 +43,24 @@ def spans(*id_lists) -> SpanSet:
         np.concatenate([np.asarray(ids, dtype=np.int64) for ids in id_lists]),
         np.array([len(ids) for ids in id_lists], dtype=np.int64),
     )
+
+
+@pytest.fixture
+def one_column_blocks(monkeypatch):
+    """``use(workers)``: later batch calls split into one-column blocks that
+    run on a pool of ``workers`` threads (1: inline, as on a single core)."""
+    monkeypatch.setattr(embeddings, "BLOCK_CELLS", 1)
+    pools = []
+
+    def use(workers: int) -> None:
+        pool = ThreadPoolExecutor(workers) if workers > 1 else None
+        if pool is not None:
+            pools.append(pool)
+        monkeypatch.setattr(embeddings, "BLOCK_POOL", pool)
+
+    yield use
+    for pool in pools:
+        pool.shutdown()
 
 
 @dataclass

@@ -137,6 +137,12 @@ def train_args(prep, outdir, *extra):
     ]
 
 
+def append_to_first_line(path, text):
+    lines = path.read_text().splitlines()
+    lines[0] = f"{lines[0]} {text}"
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestTrainCommand:
     def test_trains_and_exports(self, prepared, tmp_path, capsys):
         outdir = tmp_path / "model"
@@ -168,11 +174,16 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("bad_id", ["-1", "100000"])
     def test_id_outside_vocabulary_is_data_error(self, prepared, tmp_path, bad_id):
-        ids = prepared / "bi.de.ids"
-        lines = ids.read_text().splitlines()
-        lines[0] = f"{lines[0]} {bad_id}"
-        ids.write_text("\n".join(lines) + "\n")
+        append_to_first_line(prepared / "bi.de.ids", bad_id)
         assert main(train_args(prepared, tmp_path / "model")) == 2
+
+    @pytest.mark.parametrize("bad_id", ["2147483648", "99999999999", "-2147483649"])
+    def test_id_outside_int32_is_data_error(self, prepared, tmp_path, capsys, bad_id):
+        append_to_first_line(prepared / "bi.de.ids", bad_id)
+        assert main(train_args(prepared, tmp_path / "model")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "bi.de.ids:1: token id outside the int32 range" in err
 
     def test_config_file_applies_and_flags_override(self, prepared, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -241,6 +252,31 @@ class TestExportCommand:
         ])
         assert code == 0
         assert (exported / "en.vec").read_bytes() == (model / "en.vec").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["text", "truncated", "empty", "single_array"])
+    def test_unreadable_checkpoint_is_data_error(self, model_dir, prepared, tmp_path,
+                                                 capsys, kind):
+        bad = tmp_path / "bad.npz"
+        if kind == "text":
+            bad.write_text("not a checkpoint\n")
+        elif kind == "truncated":
+            data = (model_dir / "checkpoint.npz").read_bytes()
+            bad.write_bytes(data[: len(data) // 2])
+        elif kind == "empty":
+            bad.write_bytes(b"")
+        else:
+            with open(bad, "wb") as f:
+                np.save(f, np.zeros((2, 2)))
+        capsys.readouterr()
+        code = main([
+            "export", "--checkpoint", str(bad),
+            "--vocab-l1", str(prepared / "en.vocab"), "--vocab-l2", str(prepared / "de.vocab"),
+            "--outdir", str(tmp_path / "exported"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(bad) in err
 
 
 @pytest.fixture

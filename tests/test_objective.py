@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from dataclasses import astuple
 
 import numpy as np
@@ -381,6 +382,23 @@ class TestBatchBits:
             digests.append(batch_digest(breakdown, acc))
         assert digests[0] == digests[1] == digests[2]
 
+    @pytest.mark.parametrize("kind", ["add", "bi"])
+    def test_thread_count_keeps_bits(self, kind, synth_batch, one_column_blocks):
+        batch, tables = synth_batch
+        digests = []
+        interval = sys.getswitchinterval()
+        for workers in (1, 4):  # inline, and more threads than cores
+            one_column_blocks(workers)
+            sys.setswitchinterval(1e-6)  # threads switch often inside each block
+            try:
+                breakdown, acc = batch_loss_and_grad(
+                    batch.pairs, batch.mono_l1, batch.mono_l2, tables, kind, 40.0, 1.0
+                )
+            finally:
+                sys.setswitchinterval(interval)
+            digests.append(batch_digest(breakdown, acc))
+        assert digests[0] == digests[1]
+
     def test_golden_add_batch(self, synth_batch):
         # the loss and coalesced gradient bits of the row-major batch path
         # this one replaced; Add only, since tanh's last bit depends on the
@@ -442,6 +460,13 @@ class TestGradientAccumulator:
         acc = GradientAccumulator(3)
         acc.add("en", [1, 2], row_blocks(np.zeros((3, 3))))
         with pytest.raises(DataError):
+            acc.coalesce()
+
+    def test_shape_mismatch_rejected_on_pool_threads(self, one_column_blocks):
+        one_column_blocks(2)
+        acc = GradientAccumulator(3)
+        acc.add("en", [1, 2], row_blocks(np.zeros((3, 3))))
+        with pytest.raises(DataError, match="gradient block shape"):
             acc.coalesce()
 
 

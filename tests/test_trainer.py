@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import oracle
 import pytest
@@ -189,6 +191,22 @@ class TestTrainStep:
         after = (tables.l1.matrix, tables.l2.matrix, state.g_by_tag["en"], state.g_by_tag["de"])
         for old, new in zip(before, after):
             assert old.tobytes() == new.tobytes()
+
+    def test_overflow_on_pool_threads_raises_without_warnings(self, one_column_blocks):
+        # each one-column block of the l2 composition overflows on a pool
+        # thread, where train_step's errstate must hold as in the caller
+        one_column_blocks(2)
+        tables = TablePair(
+            EmbeddingTable(np.array([[0.5, 0.5]]), "en"),
+            EmbeddingTable(np.full((2, 2), 1.5e308), "de"),
+        )
+        state = AdaGradState.zeros(tables)
+        pair = PairBatch("en", "de", spans([0]), spans([0, 1]))
+        config = TrainConfig(dim=2, lam=0.0, batch_size=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError):
+                train_step(Batch(pairs=pair), tables, state, config)
 
     def test_step_touches_only_batch_rows(self):
         data = small_data()
