@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -31,39 +32,6 @@ from .trainer import (
     train,
 )
 
-# every key a pipeline config file may carry; unknown keys are rejected
-CONFIG_KEYS = frozenset(
-    {
-        "l1_tag",
-        "l2_tag",
-        "unk_threshold_bi_l1",
-        "unk_threshold_bi_l2",
-        "unk_threshold_mono_l1",
-        "unk_threshold_mono_l2",
-        "lowercase_cutoff_l1",
-        "lowercase_cutoff_l2",
-        "min_sentence_len",
-        "lowercase",
-        "use_mono",
-        "mono_use_parallel",
-        "bilingual_limit",
-        "dim",
-        "learning_rate",
-        "batch_size",
-        "margin",
-        "lambda",
-        "epochs_bi_only",
-        "epochs_with_mono",
-        "epochs",
-        "mix",
-        "seed",
-        "adagrad_epsilon",
-        "composition",
-        "init_sigma",
-        "checkpoint_every",
-    }
-)
-
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -77,61 +45,22 @@ def _parse_bool(value: str) -> bool:
     raise ConfigError(f"expected a boolean, got {value!r}")
 
 
-def _parse_mix(value):
-    v = value.strip().lower()
-    if v in ("", "proportional", "none"):
-        return None
-    parts = [float(x) for x in v.split(",")]
+def _parse_fractions(value):
+    try:
+        parts = tuple(float(x) for x in value.split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != 3:
         raise ConfigError(f"mix needs three comma-separated fractions, got {value!r}")
-    return tuple(parts)
+    return parts
 
 
-def _parse_margin(value):
-    v = value.strip().lower()
-    if v in ("", "dim", "none"):
-        return None
-    return float(v)
+def _or_none(parse, *words):
+    """`parse`, except that "", "none" and `words` read as None (a derived default)."""
+    def parse_or_none(value):
+        return None if value.strip().lower() in ("", "none", *words) else parse(value)
+    return parse_or_none
 
-
-def _parse_opt_int(value):
-    v = value.strip().lower()
-    if v in ("", "none"):
-        return None
-    return int(v)
-
-
-# key -> (parser, destination attribute); config file values feed both the
-# TrainConfig and the data-selection settings of the train command
-_CONFIG_PARSERS = {
-    "l1_tag": (str, "l1_tag"),
-    "l2_tag": (str, "l2_tag"),
-    "unk_threshold_bi_l1": (int, "unk_threshold_bi_l1"),
-    "unk_threshold_bi_l2": (int, "unk_threshold_bi_l2"),
-    "unk_threshold_mono_l1": (int, "unk_threshold_mono_l1"),
-    "unk_threshold_mono_l2": (int, "unk_threshold_mono_l2"),
-    "lowercase_cutoff_l1": (float, "lowercase_cutoff_l1"),
-    "lowercase_cutoff_l2": (float, "lowercase_cutoff_l2"),
-    "min_sentence_len": (int, "min_sentence_len"),
-    "lowercase": (_parse_bool, "lowercase"),
-    "use_mono": (_parse_bool, "use_mono"),
-    "mono_use_parallel": (_parse_bool, "mono_use_parallel"),
-    "bilingual_limit": (_parse_opt_int, "bilingual_limit"),
-    "dim": (int, "dim"),
-    "learning_rate": (float, "learning_rate"),
-    "batch_size": (int, "batch_size"),
-    "margin": (_parse_margin, "margin"),
-    "lambda": (float, "lam"),
-    "epochs_bi_only": (int, "epochs_bi_only"),
-    "epochs_with_mono": (int, "epochs_with_mono"),
-    "epochs": (_parse_opt_int, "epochs"),
-    "mix": (_parse_mix, "mix"),
-    "seed": (int, "seed"),
-    "adagrad_epsilon": (float, "adagrad_epsilon"),
-    "composition": (str, "composition"),
-    "init_sigma": (float, "init_sigma"),
-    "checkpoint_every": (int, "checkpoint_every"),
-}
 
 # pipeline settings that are not TrainConfig fields
 _PIPELINE_DEFAULTS = {
@@ -151,17 +80,52 @@ _PIPELINE_DEFAULTS = {
     "checkpoint_every": 0,
 }
 
+# every setting and its default: the TrainConfig fields and the pipeline settings
+_DEFAULTS = {**{f.name: f.default for f in fields(TrainConfig)}, **_PIPELINE_DEFAULTS}
+
+# config-file key -> setting name; only lam is spelled differently, as lambda
+_SETTING_OF_KEY = {("lambda" if name == "lam" else name): name for name in _DEFAULTS}
+
+# every key a pipeline config file may carry; unknown keys are rejected
+CONFIG_KEYS = frozenset(_SETTING_OF_KEY)
+
+# file-value parsers of the settings that the type of their default cannot parse
+_PARSERS = {
+    "lowercase": _parse_bool,
+    "use_mono": _parse_bool,
+    "mono_use_parallel": _parse_bool,
+    "bilingual_limit": _or_none(int),
+    "epochs": _or_none(int),
+    "margin": _or_none(float, "dim"),
+    "mix": _or_none(_parse_fractions, "proportional"),
+}
+
+# what a None default means, for the help text
+_DEFAULT_WORDS = {"margin": "dim", "epochs": "auto", "mix": "proportional", "bilingual_limit": "all"}
+
 
 def load_pipeline_config(path) -> dict:
-    """Parse a `key = value` config file into typed settings."""
-    raw = parse_config_file(path, CONFIG_KEYS)
+    """Parse a `key = value` config file into typed settings, keyed by setting name."""
     settings = {}
-    for key, value in raw.items():
-        parse, dest = _CONFIG_PARSERS[key]
+    for key, value in parse_config_file(path, CONFIG_KEYS).items():
+        name = _SETTING_OF_KEY[key]
         try:
-            settings[dest] = parse(value)
+            settings[name] = _PARSERS.get(name, type(_DEFAULTS[name]))(value)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}: bad value for {key!r}: {exc}")
+    return settings
+
+
+def _merge_settings(args) -> dict:
+    """Every setting: its default, then the config file, then each given flag."""
+    settings = dict(_DEFAULTS)
+    if args.config:
+        _require_files(args.config)
+        settings.update(load_pipeline_config(args.config))
+    flags = {name: v for name in _DEFAULTS if (v := getattr(args, name, None)) is not None}
+    if "mix" in flags:  # parsed here, since argparse does not catch ConfigError
+        flags["mix"] = _PARSERS["mix"](flags["mix"])
+    settings.update(flags)
     return settings
 
 
@@ -172,12 +136,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add(parser, flag, default=None, required=False, **kwargs):
-    """add_argument with the default echoed in the help text."""
-    help_text = kwargs.pop("help", "")
-    if not required and "action" not in kwargs:
-        help_text = f"{help_text} (default: {default})"
-    parser.add_argument(flag, default=default, required=required, help=help_text, **kwargs)
+def _add(parser, flag, default=None, required=False, help="", **kwargs):
+    """add_argument with the default of an optional flag echoed in its help."""
+    if not required:
+        help = f"{help} (default: {default})"
+    parser.add_argument(flag, default=default, required=required, help=help, **kwargs)
+
+
+def _setting(parser, name, help, flag=None, **kwargs):
+    """Add the flag of setting `name`, parsed by the type of its default unless
+    `type` is given, or a switch that stores `const`. It defaults to None, so
+    the merge sees only the flags that were given."""
+    default = _DEFAULT_WORDS.get(name, _DEFAULTS[name])
+    if "const" in kwargs:
+        kwargs["action"] = "store_const"
+        default = f"{name} = {default}"
+    else:
+        kwargs.setdefault("type", type(_DEFAULTS[name]))
+    parser.add_argument(flag or "--" + name.replace("_", "-"), dest=name, default=None,
+                        help=f"{help} (default: {default})", **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,44 +167,42 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "--mono-l1", help="monolingual corpus for language 1")
     _add(p, "--mono-l2", help="monolingual corpus for language 2")
     _add(p, "--config", help="key = value config file; flags override it")
-    _add(p, "--l1-tag", help="language-1 tag (default: en)")
-    _add(p, "--l2-tag", help="language-2 tag (default: de)")
-    _add(p, "--unk-threshold-bi-l1", type=int, help="UNK threshold, bilingual l1 side (default: 2)")
-    _add(p, "--unk-threshold-bi-l2", type=int, help="UNK threshold, bilingual l2 side (default: 2)")
-    _add(p, "--unk-threshold-mono-l1", type=int, help="UNK threshold, monolingual l1 (default: 5)")
-    _add(p, "--unk-threshold-mono-l2", type=int, help="UNK threshold, monolingual l2 (default: 3)")
-    _add(p, "--lowercase-cutoff-l1", type=float, help="lowercase-ratio cutoff, l1 (default: 0.9)")
-    _add(p, "--lowercase-cutoff-l2", type=float, help="lowercase-ratio cutoff, l2 (default: 0.7)")
-    _add(p, "--min-sentence-len", type=int, help="minimum tokens per kept sentence (default: 3)")
-    p.add_argument("--no-lowercase", action="store_true",
-                   help="keep original casing after filtering (default: lowercase)")
+    _setting(p, "l1_tag", "language-1 tag")
+    _setting(p, "l2_tag", "language-2 tag")
+    _setting(p, "unk_threshold_bi_l1", "UNK threshold, bilingual l1 side")
+    _setting(p, "unk_threshold_bi_l2", "UNK threshold, bilingual l2 side")
+    _setting(p, "unk_threshold_mono_l1", "UNK threshold, monolingual l1")
+    _setting(p, "unk_threshold_mono_l2", "UNK threshold, monolingual l2")
+    _setting(p, "lowercase_cutoff_l1", "lowercase-ratio cutoff, l1")
+    _setting(p, "lowercase_cutoff_l2", "lowercase-ratio cutoff, l2")
+    _setting(p, "min_sentence_len", "minimum tokens per kept sentence")
+    _setting(p, "lowercase", "keep original casing after filtering", "--no-lowercase", const=False)
     _add(p, "--outdir", required=True, help="output directory for vocab and id files")
 
     p = sub.add_parser("train", help="run the optimizer and export embeddings")
     _add(p, "--data-dir", required=True, help="directory written by the preprocess command")
     _add(p, "--outdir", required=True, help="output directory for checkpoint and embeddings")
     _add(p, "--config", help="key = value config file; flags override it")
-    _add(p, "--l1-tag", help="language-1 tag (default: en)")
-    _add(p, "--l2-tag", help="language-2 tag (default: de)")
-    _add(p, "--dim", type=int, help="embedding dimensionality (default: 40)")
-    _add(p, "--learning-rate", type=float, help="AdaGrad learning rate (default: 0.2)")
-    _add(p, "--batch-size", type=int, help="samples per mini-batch (default: 40000)")
-    _add(p, "--margin", type=float, help="hinge margin (default: dim)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="L2 regularization strength (default: 1.0)")
-    _add(p, "--epochs", type=int, help="epoch count override (default: auto)")
-    _add(p, "--epochs-bi-only", type=int, help="epochs without monolingual data (default: 100)")
-    _add(p, "--epochs-with-mono", type=int, help="epochs with monolingual data (default: 25)")
-    _add(p, "--mix", help="bi,mono_l1,mono_l2 batch fractions (default: proportional)")
-    _add(p, "--seed", type=int, help=f"random seed (default: {DEFAULT_SEED})")
-    _add(p, "--composition", choices=("add", "bi"), help="composition function (default: add)")
-    _add(p, "--adagrad-epsilon", type=float, help="AdaGrad denominator epsilon (default: 1e-08)")
-    _add(p, "--init-sigma", type=float, help="Gaussian init std (default: 0.1)")
-    _add(p, "--bilingual-limit", type=int, help="use only the first N sentence pairs")
-    p.add_argument("--no-mono", action="store_true", help="ignore monolingual corpora")
-    p.add_argument("--mono-use-parallel", action="store_true",
-                   help="also feed the bilingual sides to the monolingual objective")
-    _add(p, "--checkpoint-every", type=int, help="checkpoint every N epochs; 0 writes only the final one (default: 0)")
+    _setting(p, "l1_tag", "language-1 tag")
+    _setting(p, "l2_tag", "language-2 tag")
+    _setting(p, "dim", "embedding dimensionality")
+    _setting(p, "learning_rate", "AdaGrad learning rate")
+    _setting(p, "batch_size", "samples per mini-batch")
+    _setting(p, "margin", "hinge margin", type=float)
+    _setting(p, "lam", "L2 regularization strength", "--lambda")
+    _setting(p, "epochs", "epoch count override", type=int)
+    _setting(p, "epochs_bi_only", "epochs without monolingual data")
+    _setting(p, "epochs_with_mono", "epochs with monolingual data")
+    _setting(p, "mix", "bi,mono_l1,mono_l2 batch fractions", type=str)
+    _setting(p, "seed", "random seed")
+    _setting(p, "composition", "composition function", choices=("add", "bi"))
+    _setting(p, "adagrad_epsilon", "AdaGrad denominator epsilon")
+    _setting(p, "init_sigma", "Gaussian init std")
+    _setting(p, "bilingual_limit", "use only the first N sentence pairs", type=int)
+    _setting(p, "use_mono", "ignore monolingual corpora", "--no-mono", const=False)
+    _setting(p, "mono_use_parallel", "also feed the bilingual sides to the monolingual objective",
+             const=True)
+    _setting(p, "checkpoint_every", "checkpoint every N epochs; 0 writes only the final one")
     _add(p, "--resume-from", help="checkpoint file to resume from")
     _add(p, "--log-file", help="also write per-batch loss lines to this file")
 
@@ -239,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nn", help="query nearest neighbors in an embedding file")
     _add(p, "--embeddings", required=True, help="source embedding text file")
-    _add(p, "--dst-embeddings", help="destination embedding file (default: the source)")
+    p.add_argument("--dst-embeddings", help="destination embedding file (default: the source)")
     p.add_argument("--query", action="append", default=[], help="query token (repeatable)")
     _add(p, "--query-file", help="file with one query token per line")
     _add(p, "--k", default=5, type=int, help="neighbors per query")
@@ -285,28 +260,9 @@ def _corpus_stats(name: str, kind: str, threshold, enc: corp.EncodedCorpus, voca
     )
 
 
-def _merge_preprocess_settings(args) -> dict:
-    settings = dict(_PIPELINE_DEFAULTS)
-    if args.config:
-        _require_files(args.config)
-        file_settings = load_pipeline_config(args.config)
-        settings.update({k: v for k, v in file_settings.items() if k in _PIPELINE_DEFAULTS})
-    for key in (
-        "l1_tag", "l2_tag", "unk_threshold_bi_l1", "unk_threshold_bi_l2",
-        "unk_threshold_mono_l1", "unk_threshold_mono_l2",
-        "lowercase_cutoff_l1", "lowercase_cutoff_l2", "min_sentence_len",
-    ):
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = flag_value
-    if args.no_lowercase:
-        settings["lowercase"] = False
-    return settings
-
-
 def run_preprocess(args) -> int:
     _require_files(args.parallel_l1, args.parallel_l2, args.mono_l1, args.mono_l2)
-    cfg = _merge_preprocess_settings(args)
+    cfg = _merge_settings(args)
     tag_l1, tag_l2 = cfg["l1_tag"], cfg["l2_tag"]
     if tag_l1 == tag_l2:
         raise ConfigError("l1 and l2 tags must differ")
@@ -363,40 +319,6 @@ def run_preprocess(args) -> int:
 
 # ---------------------------------------------------------------------------
 # train and export
-
-
-def _merge_train_settings(args) -> tuple[TrainConfig, dict]:
-    settings = dict(_PIPELINE_DEFAULTS)
-    file_settings = load_pipeline_config(args.config) if args.config else {}
-    settings.update({k: v for k, v in file_settings.items() if k in _PIPELINE_DEFAULTS})
-
-    kwargs = {}
-    for field in (
-        "dim", "learning_rate", "batch_size", "margin", "lam", "epochs_bi_only",
-        "epochs_with_mono", "epochs", "mix", "seed", "adagrad_epsilon",
-        "composition", "init_sigma",
-    ):
-        if field in file_settings:
-            kwargs[field] = file_settings[field]
-        flag_value = getattr(args, field, None)
-        if flag_value is not None:
-            kwargs[field] = _parse_mix(flag_value) if field == "mix" else flag_value
-    config = TrainConfig(**kwargs)
-    config.validate()
-
-    for key in ("l1_tag", "l2_tag"):
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = flag_value
-    if args.bilingual_limit is not None:
-        settings["bilingual_limit"] = args.bilingual_limit
-    if args.no_mono:
-        settings["use_mono"] = False
-    if args.mono_use_parallel:
-        settings["mono_use_parallel"] = True
-    if args.checkpoint_every is not None:
-        settings["checkpoint_every"] = args.checkpoint_every
-    return config, settings
 
 
 def _load_training_data(data_dir: str, settings: dict) -> TrainingData:
@@ -456,7 +378,9 @@ def _export_tables(outdir: str, tables: TablePair, vocab_l1, vocab_l2) -> list[s
 
 
 def run_train(args) -> int:
-    config, settings = _merge_train_settings(args)
+    settings = _merge_settings(args)
+    config = TrainConfig(**{f.name: settings[f.name] for f in fields(TrainConfig)})
+    config.validate()
     if args.resume_from is not None:
         _require_files(args.resume_from)
     data = _load_training_data(args.data_dir, settings)
@@ -577,7 +501,7 @@ def run_classify_eval(args) -> int:
         reports.append(report)
         print(report.to_text())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with corp.atomic_write(args.out) as f:
             for report in reports:
                 f.write(report.to_text())
                 f.write("\n")

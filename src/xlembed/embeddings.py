@@ -122,9 +122,6 @@ class TablePair:
         except KeyError:
             raise DataError(f"no embedding table for language {tag!r}")
 
-    def sq_norm(self) -> float:
-        return float((self.l1.matrix ** 2).sum() + (self.l2.matrix ** 2).sum())
-
     def copy(self) -> "TablePair":
         return TablePair(self.l1.copy(), self.l2.copy())
 

@@ -32,6 +32,10 @@ DEFAULT_SEED = 42
 
 CHECKPOINT_MAGIC = "xlembed-checkpoint"
 CHECKPOINT_VERSION = 1
+# what save_checkpoint writes besides the magic
+CHECKPOINT_MEMBERS = (
+    "version", "tags", "table_l1", "table_l2", "g_l1", "g_l2", "config", "epoch", "rng_state"
+)
 
 
 @dataclass
@@ -260,6 +264,9 @@ def load_checkpoint(path):
     z = _read_archive(path)
     if "magic" not in z or str(z["magic"]) != CHECKPOINT_MAGIC:
         raise DataError(f"{path} is not a checkpoint file")
+    missing = [name for name in CHECKPOINT_MEMBERS if name not in z]
+    if missing:
+        raise DataError(f"{path}: checkpoint lacks {', '.join(missing)}")
     version = int(z["version"])
     if version != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")

@@ -206,6 +206,12 @@ class TestTrainCommand:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("mix", ["0.5,0.5", "a,b,c"])
+    def test_malformed_mix_flag_is_usage_error(self, prepared, tmp_path, capsys, mix):
+        assert main(train_args(prepared, tmp_path / "model", "--mix", mix)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "mix needs three" in err
+
     def test_mono_use_parallel_switch(self, prepared, tmp_path, capsys):
         outdir = tmp_path / "model"
         code = main(train_args(prepared, outdir, "--mono-use-parallel"))
@@ -253,7 +259,9 @@ class TestExportCommand:
         assert code == 0
         assert (exported / "en.vec").read_bytes() == (model / "en.vec").read_bytes()
 
-    @pytest.mark.parametrize("kind", ["text", "truncated", "empty", "single_array"])
+    @pytest.mark.parametrize(
+        "kind", ["text", "truncated", "empty", "single_array", "missing_member"]
+    )
     def test_unreadable_checkpoint_is_data_error(self, model_dir, prepared, tmp_path,
                                                  capsys, kind):
         bad = tmp_path / "bad.npz"
@@ -264,6 +272,10 @@ class TestExportCommand:
             bad.write_bytes(data[: len(data) // 2])
         elif kind == "empty":
             bad.write_bytes(b"")
+        elif kind == "missing_member":
+            # the checkpoint magic and one table, but no version or anything else
+            with np.load(model_dir / "checkpoint.npz") as z:
+                np.savez(bad, magic=z["magic"], table_l1=z["table_l1"])
         else:
             with open(bad, "wb") as f:
                 np.save(f, np.zeros((2, 2)))
@@ -362,6 +374,39 @@ class TestClassifyEvalCommand:
         assert main(args) == 0
         assert capsys.readouterr().out == first
 
+    def test_report_failing_partway_keeps_old_file(self, model_dir, doc_files, tmp_path,
+                                                   monkeypatch, capsys):
+        from xlembed.evaluate import EvalReport
+
+        train_l1, test_l2 = doc_files
+        out = tmp_path / "report.txt"
+        out.write_text("earlier report\n")
+        calls = []
+        to_text = EvalReport.to_text
+
+        def fail_on_fourth(self):
+            # calls 1-2 print the two reports, 3 writes the first, 4 fails
+            calls.append(1)
+            if len(calls) == 4:
+                raise OSError("disk full")
+            return to_text(self)
+
+        monkeypatch.setattr(EvalReport, "to_text", fail_on_fourth)
+        code = main([
+            "classify-eval",
+            "--embeddings-l1", str(model_dir / "en.vec"),
+            "--embeddings-l2", str(model_dir / "de.vec"),
+            "--train-docs-l1", str(train_l1), "--test-docs-l2", str(test_l2),
+            "--train-docs-l2", str(test_l2), "--test-docs-l1", str(train_l1),
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert len(calls) == 4
+        assert out.read_text() == "earlier report\n"
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("report")) == [
+            "report.txt"
+        ]
+
     def test_train_size_flag(self, model_dir, doc_files, capsys):
         train_l1, test_l2 = doc_files
         code = main([
@@ -441,6 +486,232 @@ def test_preprocess_defaults_match_reference_thresholds():
     assert _PIPELINE_DEFAULTS["lowercase_cutoff_l1"] == 0.9
     assert _PIPELINE_DEFAULTS["lowercase_cutoff_l2"] == 0.7
     assert _PIPELINE_DEFAULTS["min_sentence_len"] == 3
+
+
+# every config key set to a value other than its default; the tags match the
+# data directory that TestSettings trains on
+ALL_KEYS_CFG = {
+    "l1_tag": "xx", "l2_tag": "yy",
+    "unk_threshold_bi_l1": "1", "unk_threshold_bi_l2": "3",
+    "unk_threshold_mono_l1": "4", "unk_threshold_mono_l2": "6",
+    "lowercase_cutoff_l1": "0.8", "lowercase_cutoff_l2": "0.6",
+    "min_sentence_len": "2",
+    "lowercase": "false", "use_mono": "false", "mono_use_parallel": "true",
+    "bilingual_limit": "3", "checkpoint_every": "1",
+    "dim": "5", "learning_rate": "0.1", "batch_size": "16", "margin": "2.5",
+    "lambda": "0.5", "epochs_bi_only": "7", "epochs_with_mono": "6", "epochs": "1",
+    "mix": "0.5,0.25,0.25", "seed": "9", "adagrad_epsilon": "1e-6",
+    "composition": "bi", "init_sigma": "0.05",
+}
+
+# TrainConfig as ALL_KEYS_CFG and as FLAG_VALUES set it
+CFG_TRAIN_CONFIG = {
+    "dim": 5, "learning_rate": 0.1, "batch_size": 16, "margin": 2.5, "lam": 0.5,
+    "epochs_bi_only": 7, "epochs_with_mono": 6, "epochs": 1, "mix": (0.5, 0.25, 0.25),
+    "seed": 9, "adagrad_epsilon": 1e-6, "composition": "bi", "init_sigma": 0.05,
+}
+FLAG_TRAIN_CONFIG = {
+    "dim": 3, "learning_rate": 0.3, "batch_size": 8, "margin": 1.5, "lam": 0.25,
+    "epochs_bi_only": 5, "epochs_with_mono": 4, "epochs": 2, "mix": (0.6, 0.2, 0.2),
+    "seed": 11, "adagrad_epsilon": 1e-7, "composition": "add", "init_sigma": 0.2,
+}
+TRAIN_FLAGS = [
+    "--dim", "3", "--learning-rate", "0.3", "--batch-size", "8", "--margin", "1.5",
+    "--lambda", "0.25", "--epochs-bi-only", "5", "--epochs-with-mono", "4", "--epochs", "2",
+    "--mix", "0.6,0.2,0.2", "--seed", "11", "--adagrad-epsilon", "1e-7",
+    "--composition", "add", "--init-sigma", "0.2",
+]
+
+
+class _StopTraining(Exception):
+    pass
+
+
+class TestSettings:
+    """Each config key reaches the code that uses it, and its flag beats the file."""
+
+    def test_config_keys_are_the_reference_set(self):
+        from xlembed.cli import CONFIG_KEYS
+
+        assert CONFIG_KEYS == frozenset(ALL_KEYS_CFG)
+        assert len(CONFIG_KEYS) == 27
+
+    def test_file_values_differ_from_defaults_and_flags(self, tmp_path):
+        from dataclasses import fields
+
+        from xlembed.cli import _PIPELINE_DEFAULTS, load_pipeline_config
+        from xlembed.trainer import TrainConfig
+
+        defaults = {f.name: f.default for f in fields(TrainConfig)}
+        defaults.update(_PIPELINE_DEFAULTS)
+        settings = load_pipeline_config(self.write_cfg(tmp_path / "all.cfg"))
+        assert settings.keys() == defaults.keys()
+        assert all(settings[k] != defaults[k] for k in defaults)
+        assert {k: settings[k] for k in CFG_TRAIN_CONFIG} == CFG_TRAIN_CONFIG
+        assert all(FLAG_TRAIN_CONFIG[k] != CFG_TRAIN_CONFIG[k] for k in CFG_TRAIN_CONFIG)
+
+    @staticmethod
+    def write_cfg(path, **overrides):
+        values = {**ALL_KEYS_CFG, **overrides}
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        return path
+
+    @staticmethod
+    def spy_preprocess(monkeypatch):
+        import xlembed.corpus as corp
+
+        seen = {"filter_parallel": set(), "filter_mono": set(), "vocab": set(), "lowercase": set()}
+
+        def spy(name, fn, record):
+            def wrapped(*args, **kwargs):
+                seen[name].add(record(*args, **kwargs))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(corp, fn.__name__, wrapped)
+
+        spy("filter_parallel", corp.filter_parallel, lambda pairs, c1, c2, n: (c1, c2, n))
+        spy("filter_mono", corp.filter_mono, lambda lines, cutoff, n: (cutoff, n))
+        spy("vocab", corp.build_vocabulary, lambda tokens, threshold, tag: (threshold, tag))
+        spy("lowercase", corp.iter_tokens, lambda lines, lowercase: lowercase)
+        return seen
+
+    def test_config_file_reaches_preprocess(self, tiny_corpus, tmp_path, monkeypatch):
+        seen = self.spy_preprocess(monkeypatch)
+        cfg = self.write_cfg(tmp_path / "all.cfg")
+        outdir = tmp_path / "prep"
+        code = main([
+            "preprocess", "--parallel-l1", str(tiny_corpus["l1"]),
+            "--parallel-l2", str(tiny_corpus["l2"]), "--mono-l1", str(tiny_corpus["mono_en"]),
+            "--mono-l2", str(tiny_corpus["mono_de"]), "--outdir", str(outdir),
+            "--config", str(cfg),
+        ])
+        assert code == 0
+        assert seen == {
+            "filter_parallel": {(0.8, 0.6, 2)},
+            "filter_mono": {(0.8, 2), (0.6, 2)},
+            "vocab": {(1, "xx"), (4, "xx"), (3, "yy"), (6, "yy")},
+            "lowercase": {False},
+        }
+        for name in ("xx.vocab", "yy.vocab", "bi.xx.ids", "mono.yy.ids"):
+            assert (outdir / name).exists()
+
+    def test_flags_beat_config_file_in_preprocess(self, tiny_corpus, tmp_path, monkeypatch):
+        seen = self.spy_preprocess(monkeypatch)
+        cfg = self.write_cfg(tmp_path / "all.cfg", lowercase="true")
+        outdir = tmp_path / "prep"
+        code = main([
+            "preprocess", "--parallel-l1", str(tiny_corpus["l1"]),
+            "--parallel-l2", str(tiny_corpus["l2"]), "--mono-l1", str(tiny_corpus["mono_en"]),
+            "--mono-l2", str(tiny_corpus["mono_de"]), "--outdir", str(outdir),
+            "--config", str(cfg), "--l1-tag", "pp", "--l2-tag", "qq",
+            "--unk-threshold-bi-l1", "7", "--unk-threshold-bi-l2", "8",
+            "--unk-threshold-mono-l1", "9", "--unk-threshold-mono-l2", "10",
+            "--lowercase-cutoff-l1", "0.5", "--lowercase-cutoff-l2", "0.4",
+            "--min-sentence-len", "4", "--no-lowercase",
+        ])
+        assert code == 0
+        assert seen == {
+            "filter_parallel": {(0.5, 0.4, 4)},
+            "filter_mono": {(0.5, 4), (0.4, 4)},
+            "vocab": {(7, "pp"), (9, "pp"), (8, "qq"), (10, "qq")},
+            "lowercase": {False},
+        }
+        assert (outdir / "pp.vocab").exists() and (outdir / "qq.vocab").exists()
+
+    @pytest.fixture
+    def prepared_xy(self, tiny_corpus, tmp_path):
+        outdir = tmp_path / "prep_xy"
+        args = preprocess_args(tiny_corpus, outdir) + ["--l1-tag", "xx", "--l2-tag", "yy"]
+        assert main(args) == 0
+        return outdir
+
+    @staticmethod
+    def capture_train(monkeypatch, args):
+        from dataclasses import asdict
+
+        import xlembed.cli as cli
+
+        seen = {}
+
+        def fake_train(data, config, **kwargs):
+            seen.update(data=data, config=asdict(config), **kwargs)
+            raise _StopTraining
+
+        monkeypatch.setattr(cli, "train", fake_train)
+        with pytest.raises(_StopTraining):
+            main(args)
+        return seen
+
+    def test_config_file_reaches_train(self, prepared_xy, tmp_path, monkeypatch):
+        cfg = self.write_cfg(tmp_path / "all.cfg")
+        seen = self.capture_train(monkeypatch, [
+            "train", "--data-dir", str(prepared_xy), "--outdir", str(tmp_path / "m"),
+            "--config", str(cfg),
+        ])
+        assert seen["config"] == CFG_TRAIN_CONFIG
+        assert seen["checkpoint_every"] == 1
+        data = seen["data"]
+        assert (data.vocab_l1.language_tag, data.vocab_l2.language_tag) == ("xx", "yy")
+        # bilingual_limit = 3, use_mono = false, mono_use_parallel = true: the
+        # monolingual streams are exactly the three kept parallel sides
+        assert len(data.parallel) == 3
+        assert data.mono_l1.flat.tolist() == data.parallel.l1.flat.tolist()
+        assert data.mono_l2.flat.tolist() == data.parallel.l2.flat.tolist()
+
+    def test_flags_beat_config_file_in_train(self, prepared_xy, tmp_path, monkeypatch):
+        cfg = self.write_cfg(
+            tmp_path / "all.cfg", l1_tag="aa", l2_tag="bb", bilingual_limit="2",
+            checkpoint_every="3", use_mono="true", mono_use_parallel="false",
+        )
+        seen = self.capture_train(monkeypatch, [
+            "train", "--data-dir", str(prepared_xy), "--outdir", str(tmp_path / "m"),
+            "--config", str(cfg), *TRAIN_FLAGS, "--l1-tag", "xx", "--l2-tag", "yy",
+            "--bilingual-limit", "4", "--checkpoint-every", "2", "--no-mono",
+            "--mono-use-parallel",
+        ])
+        assert seen["config"] == FLAG_TRAIN_CONFIG
+        assert seen["checkpoint_every"] == 2
+        data = seen["data"]
+        assert (data.vocab_l1.language_tag, data.vocab_l2.language_tag) == ("xx", "yy")
+        assert len(data.parallel) == 4
+        assert data.mono_l1.flat.tolist() == data.parallel.l1.flat.tolist()
+        assert data.mono_l2.flat.tolist() == data.parallel.l2.flat.tolist()
+
+    def test_proportional_mix_flag_beats_config_file(self, prepared_xy, tmp_path, monkeypatch):
+        cfg = self.write_cfg(tmp_path / "all.cfg")
+        seen = self.capture_train(monkeypatch, [
+            "train", "--data-dir", str(prepared_xy), "--outdir", str(tmp_path / "m"),
+            "--config", str(cfg), "--mix", "proportional",
+        ])
+        assert seen["config"] == {**CFG_TRAIN_CONFIG, "mix": None}
+
+    @pytest.mark.parametrize(
+        "command", ["preprocess", "train", "export", "nn", "classify-eval", "compose"]
+    )
+    def test_help_shows_each_default_once(self, command):
+        import argparse
+        import re
+        from dataclasses import fields
+
+        from xlembed.cli import _PIPELINE_DEFAULTS, build_parser
+        from xlembed.trainer import TrainConfig
+
+        defaults = {f.name: f.default for f in fields(TrainConfig)}
+        defaults.update(_PIPELINE_DEFAULTS)
+        # settings whose None default means "derived" show a word instead
+        defaults.update(margin="dim", epochs="auto", mix="proportional", bilingual_limit="all")
+        (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for action in sub.choices[command]._actions:
+            if action.dest == "help":
+                continue
+            shown = re.findall(r"\(default: ([^)]*)\)", action.help or "")
+            assert len(shown) <= 1, action.option_strings
+            if command not in ("preprocess", "train") or action.required:
+                continue
+            if action.dest in defaults and action.const is not None:
+                expected = f"{action.dest} = {defaults[action.dest]}"  # a switch
+            else:
+                expected = str(defaults.get(action.dest, action.default))
+            assert shown == [expected], action.option_strings
 
 
 class TestUsageContract:

@@ -11,7 +11,6 @@ from xlembed import embeddings
 from xlembed.corpus import Sentence
 from xlembed.embeddings import (
     CompositionKind,
-    EmbeddingTable,
     SpanComposition,
     TablePair,
     column_blocks,
@@ -285,11 +284,6 @@ class TestTablePair:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DataError):
             TablePair(init_table(4, 3, 0.1, 0, "en"), init_table(4, 2, 0.1, 1, "de"))
-
-    def test_sq_norm(self):
-        a = EmbeddingTable(np.array([[3.0, 4.0]]), "en")
-        b = EmbeddingTable(np.array([[0.0, 0.0]]), "de")
-        assert TablePair(a, b).sq_norm() == 25.0
 
 
 class TestEmbeddingTextFormat:
