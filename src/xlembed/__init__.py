@@ -10,10 +10,8 @@ nearest-neighbor queries.
 from .corpus import (
     EncodedCorpus,
     ParallelCorpus,
-    Sentence,
     Vocabulary,
     build_vocabulary,
-    decode,
     encode,
     filter_mono,
     filter_parallel,
@@ -21,7 +19,6 @@ from .corpus import (
     merge_vocabularies,
 )
 from .embeddings import (
-    ComposedVector,
     CompositionKind,
     EmbeddingTable,
     TablePair,
@@ -46,7 +43,6 @@ from .evaluate import (
     PerceptronModel,
     crosslingual_eval,
     nearest_neighbors,
-    perceptron_predict,
     perceptron_train,
     represent_document,
 )

@@ -51,7 +51,7 @@ def _parse_fractions(value):
     except ValueError:
         parts = ()
     if len(parts) != 3:
-        raise ConfigError(f"mix needs three comma-separated fractions, got {value!r}")
+        raise ValueError(f"mix needs three comma-separated fractions, got {value!r}")
     return parts
 
 
@@ -89,7 +89,8 @@ _SETTING_OF_KEY = {("lambda" if name == "lam" else name): name for name in _DEFA
 # every key a pipeline config file may carry; unknown keys are rejected
 CONFIG_KEYS = frozenset(_SETTING_OF_KEY)
 
-# file-value parsers of the settings that the type of their default cannot parse
+# value parsers, for files and flags alike, of the settings that the type of
+# their default cannot parse
 _PARSERS = {
     "lowercase": _parse_bool,
     "use_mono": _parse_bool,
@@ -122,10 +123,7 @@ def _merge_settings(args) -> dict:
     if args.config:
         _require_files(args.config)
         settings.update(load_pipeline_config(args.config))
-    flags = {name: v for name in _DEFAULTS if (v := getattr(args, name, None)) is not None}
-    if "mix" in flags:  # parsed here, since argparse does not catch ConfigError
-        flags["mix"] = _PARSERS["mix"](flags["mix"])
-    settings.update(flags)
+    settings.update((name, getattr(args, name)) for name in _DEFAULTS if hasattr(args, name))
     return settings
 
 
@@ -143,18 +141,31 @@ def _add(parser, flag, default=None, required=False, help="", **kwargs):
     parser.add_argument(flag, default=default, required=required, help=help, **kwargs)
 
 
+def _flag_value(name):
+    """The value parser of setting `name`, with a bad value reported by argparse
+    as the parser describes it."""
+    parse = _PARSERS.get(name, type(_DEFAULTS[name]))
+
+    def flag_value(value):
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad value: {exc}")
+    return flag_value
+
+
 def _setting(parser, name, help, flag=None, **kwargs):
-    """Add the flag of setting `name`, parsed by the type of its default unless
-    `type` is given, or a switch that stores `const`. It defaults to None, so
-    the merge sees only the flags that were given."""
+    """Add the flag of setting `name`, parsed as a config file value is, or a
+    switch that stores `const`. A flag that is not given leaves no attribute,
+    so the merge sees only the flags that were given, None values included."""
     default = _DEFAULT_WORDS.get(name, _DEFAULTS[name])
     if "const" in kwargs:
         kwargs["action"] = "store_const"
         default = f"{name} = {default}"
     else:
-        kwargs.setdefault("type", type(_DEFAULTS[name]))
-    parser.add_argument(flag or "--" + name.replace("_", "-"), dest=name, default=None,
-                        help=f"{help} (default: {default})", **kwargs)
+        kwargs["type"] = _flag_value(name)
+    parser.add_argument(flag or "--" + name.replace("_", "-"), dest=name,
+                        default=argparse.SUPPRESS, help=f"{help} (default: {default})", **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,17 +199,17 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "dim", "embedding dimensionality")
     _setting(p, "learning_rate", "AdaGrad learning rate")
     _setting(p, "batch_size", "samples per mini-batch")
-    _setting(p, "margin", "hinge margin", type=float)
+    _setting(p, "margin", "hinge margin")
     _setting(p, "lam", "L2 regularization strength", "--lambda")
-    _setting(p, "epochs", "epoch count override", type=int)
+    _setting(p, "epochs", "epoch count override")
     _setting(p, "epochs_bi_only", "epochs without monolingual data")
     _setting(p, "epochs_with_mono", "epochs with monolingual data")
-    _setting(p, "mix", "bi,mono_l1,mono_l2 batch fractions", type=str)
+    _setting(p, "mix", "bi,mono_l1,mono_l2 batch fractions")
     _setting(p, "seed", "random seed")
     _setting(p, "composition", "composition function", choices=("add", "bi"))
     _setting(p, "adagrad_epsilon", "AdaGrad denominator epsilon")
     _setting(p, "init_sigma", "Gaussian init std")
-    _setting(p, "bilingual_limit", "use only the first N sentence pairs", type=int)
+    _setting(p, "bilingual_limit", "use only the first N sentence pairs")
     _setting(p, "use_mono", "ignore monolingual corpora", "--no-mono", const=False)
     _setting(p, "mono_use_parallel", "also feed the bilingual sides to the monolingual objective",
              const=True)
@@ -477,6 +488,8 @@ def run_classify_eval(args) -> int:
     if not directions:
         raise ConfigError("no direction given; pass --train-docs-l1/--test-docs-l2 "
                           "and/or --train-docs-l2/--test-docs-l1")
+    if args.train_size is not None and args.train_size < 1:
+        raise ConfigError(f"--train-size must be >= 1, got {args.train_size}")
     _require_files(args.embeddings_l1, args.embeddings_l2)
     for _, train_path, _, test_path in directions:
         _require_files(train_path, test_path)

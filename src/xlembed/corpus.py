@@ -207,22 +207,14 @@ def iter_tokens(lines, lowercase: bool = False):
 # encoded sentences and corpora
 
 
-@dataclass
-class Sentence:
-    word_ids: np.ndarray
-    language_tag: str = ""
-
-    def __len__(self) -> int:
-        return int(self.word_ids.size)
-
-
 def encode(
     raw_sentence: str,
     vocab: Vocabulary,
     lowercase: bool = False,
     corpus_vocab: Vocabulary | None = None,
-) -> Sentence:
-    """Map a whitespace-tokenized line to ids; out-of-vocabulary tokens get UNK.
+) -> np.ndarray:
+    """Map a whitespace-tokenized line to an int32 id array; out-of-vocabulary
+    tokens get UNK.
 
     When ``corpus_vocab`` is given, tokens not retained in that per-corpus
     vocabulary also map to UNK even if the language vocabulary knows them
@@ -235,11 +227,7 @@ def encode(
         ids = [vocab.id_for(t) for t in tokens]
     else:
         ids = [vocab.id_for(t) if t in corpus_vocab else UNK_ID for t in tokens]
-    return Sentence(np.asarray(ids, dtype=np.int32), vocab.language_tag)
-
-
-def decode(sentence: Sentence, vocab: Vocabulary) -> list[str]:
-    return [vocab.token_for(int(i)) for i in sentence.word_ids]
+    return np.asarray(ids, dtype=np.int32)
 
 
 class EncodedCorpus:
@@ -249,10 +237,7 @@ class EncodedCorpus:
     """
 
     def __init__(self, sentences, language_tag: str = ""):
-        arrays = []
-        for s in sentences:
-            ids = s.word_ids if isinstance(s, Sentence) else s
-            arrays.append(np.asarray(ids, dtype=np.int32))
+        arrays = [np.asarray(ids, dtype=np.int32) for ids in sentences]
         self.language_tag = language_tag
         self.lengths = np.array([a.size for a in arrays], dtype=np.int64)
         self.offsets = np.concatenate([[0], np.cumsum(self.lengths)])

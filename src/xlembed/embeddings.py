@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -39,12 +38,6 @@ class CompositionKind(Enum):
             raise DataError(f"unknown composition kind {kind!r} (expected add or bi)")
 
 
-@dataclass
-class ComposedVector:
-    values: np.ndarray
-    source_len: int
-
-
 class EmbeddingTable:
     """Dense vocab-size by dim matrix of word vectors for one language.
 
@@ -62,9 +55,6 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return int(self.matrix.shape[0])
-
-    def rows(self, ids) -> np.ndarray:
-        return self.matrix[np.asarray(ids)]
 
     def copy(self) -> "EmbeddingTable":
         return EmbeddingTable(self.matrix.copy(), self.language_tag)
@@ -138,7 +128,7 @@ def sentence_vector(table: EmbeddingTable, word_ids, kind) -> np.ndarray:
     abort mid-run.
     """
     kind = CompositionKind.coerce(kind)
-    rows = table.rows(word_ids)
+    rows = table.matrix[np.asarray(word_ids)]
     if rows.shape[0] == 0:
         raise CompositionError("cannot compose an empty sentence")
     if kind is CompositionKind.ADD:
@@ -148,20 +138,18 @@ def sentence_vector(table: EmbeddingTable, word_ids, kind) -> np.ndarray:
     return np.tanh(rows[:-1] + rows[1:]).sum(axis=0)
 
 
-def compose_document(document, table: EmbeddingTable, kind) -> ComposedVector:
-    """Two-level composition: words into sentences, then sentences into the
-    document with the same function. ``source_len`` is the total token count."""
+def compose_document(sentences, table: EmbeddingTable, kind) -> np.ndarray:
+    """Two-level composition of a document given as a list of id arrays: words
+    into sentences, then sentences into the document with the same function."""
     kind = CompositionKind.coerce(kind)
-    sentences = [s.word_ids if hasattr(s, "word_ids") else np.asarray(s) for s in document]
     if not sentences:
         raise CompositionError("cannot compose an empty document")
     if kind is CompositionKind.BI and len(sentences) < 2:
         raise CompositionError("Bi document composition needs at least two sentences")
     sent_vecs = np.stack([sentence_vector(table, ids, kind) for ids in sentences])
-    total_tokens = int(sum(ids.size for ids in sentences))
     if kind is CompositionKind.ADD:
-        return ComposedVector(sent_vecs.sum(axis=0), total_tokens)
-    return ComposedVector(np.tanh(sent_vecs[:-1] + sent_vecs[1:]).sum(axis=0), total_tokens)
+        return sent_vecs.sum(axis=0)
+    return np.tanh(sent_vecs[:-1] + sent_vecs[1:]).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +305,10 @@ def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
             raise DataError(f"{path}:1: malformed header, expected '<vocab_size> <dim>'")
         tokens = []
         for i in range(n):
-            parts = f.readline().split()
+            line = f.readline()
+            if not line:
+                raise DataError(f"{path}: header promises {n} rows, the file holds {i}")
+            parts = line.split()
             if len(parts) != dim + 1:
                 raise DataError(f"{path}: row {i} has {len(parts) - 1} values, expected {dim}")
             tokens.append(parts[0])
@@ -325,4 +316,7 @@ def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
                 matrix[i] = [float(x) for x in parts[1:]]
             except ValueError:
                 raise DataError(f"{path}:{i + 2}: non-numeric value in row {i}")
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}:{bad[0] + 2}: non-finite value in row {bad[0]}")
     return tokens, matrix

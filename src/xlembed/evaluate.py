@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Sentence, Vocabulary, encode
+from .corpus import Vocabulary, encode
 from .embeddings import EmbeddingTable, TablePair, compose_document
 from .errors import DataError, OovError
 
@@ -26,7 +26,7 @@ NORM_MODES = ("none", "by_token_count", "unit_l2")
 class LabeledDocument:
     doc_id: str
     label: str
-    sentences: list  # encoded id arrays (or Sentence objects)
+    sentences: list  # encoded id arrays
     language_tag: str = ""
 
 
@@ -38,10 +38,9 @@ def represent_document(doc: LabeledDocument, table: EmbeddingTable, kind, norm_m
     """
     if norm_mode not in NORM_MODES:
         raise DataError(f"unknown norm mode {norm_mode!r}, expected one of {NORM_MODES}")
-    composed = compose_document(doc.sentences, table, kind)
-    vec = np.asarray(composed.values, dtype=np.float64)
+    vec = np.asarray(compose_document(doc.sentences, table, kind), dtype=np.float64)
     if norm_mode == "by_token_count":
-        return vec / composed.source_len
+        return vec / sum(len(ids) for ids in doc.sentences)
     if norm_mode == "unit_l2":
         norm = float(np.linalg.norm(vec))
         return vec / norm if norm > 0 else vec
@@ -91,13 +90,6 @@ class PerceptronModel:
         avg = self._acc + (self._t - self._last)[:, None] * self.w
         return avg / self._t
 
-    def predict_index(self, x, use_average: bool = True) -> int:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.w.shape[1],):
-            raise DataError(f"input dim {x.shape} does not match model dim {self.w.shape[1]}")
-        weights = self.averaged_weights() if use_average else self.w
-        return int(np.argmax(weights @ x))
-
     def predict_indices(self, xs, use_average: bool = True) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
         weights = self.averaged_weights() if use_average else self.w
@@ -124,10 +116,6 @@ def perceptron_train(train_docs, vectors, epochs: int = 10, seed: int = 0) -> Pe
         for i in rng.permutation(len(docs)):
             model.observe(vectors[i], int(y[i]))
     return model
-
-
-def perceptron_predict(model: PerceptronModel, vector, use_average: bool = True) -> str:
-    return model.classes[model.predict_index(vector, use_average)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +296,6 @@ def encode_documents(docs, vocab: Vocabulary, lowercase: bool = False) -> list[L
     """Encode raw-token documents against a vocabulary (OOV tokens to UNK)."""
     out = []
     for doc in docs:
-        sentences = [encode(s, vocab, lowercase).word_ids for s in doc.sentences]
+        sentences = [encode(s, vocab, lowercase) for s in doc.sentences]
         out.append(LabeledDocument(doc.doc_id, doc.label, sentences, vocab.language_tag))
     return out

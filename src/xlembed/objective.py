@@ -62,28 +62,26 @@ class GradientAccumulator:
     ``bincount`` over flattened (column, row) cells, so no positions x dim
     gradient is ever built; every cell sums its terms from zero in chunk
     order, then position order. The blocks run through
-    :func:`xlembed.embeddings.run_blocks`. The result stays readable as
-    ``coalesced`` until the next :meth:`add`.
+    :func:`xlembed.embeddings.run_blocks`.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self._chunks: dict[str, list] = {}
-        self.coalesced: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
 
     def add(self, tag: str, ids, grads) -> None:
         ids = np.asarray(ids, dtype=np.int64).ravel()
         if ids.size:
             self._chunks.setdefault(tag, []).append((ids, grads))
-            self.coalesced = None
 
     def coalesce(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Unique ids per language with their summed gradient rows; repeated
-        calls return ``coalesced`` until the next :meth:`add`."""
-        if self.coalesced is not None:
-            return self.coalesced
+        """Unique ids per language with their summed gradient rows. Each
+        language's chunks leave the accumulator as they are summed, which
+        frees their backward context (Bi's tanh derivatives, the upstream
+        arrays) once the sums exist; a second call returns ``{}``."""
         out = {}
-        for tag, chunks in self._chunks.items():
+        for tag in list(self._chunks):
+            chunks = self._chunks.pop(tag)
             ids_all = np.concatenate([ids for ids, _ in chunks])
             unique, inverse = _unique_inverse(ids_all)
             summed = np.zeros((unique.size, self.dim), dtype=np.float64)
@@ -109,17 +107,8 @@ class GradientAccumulator:
                 summed[:, cols] = sums.reshape(width, unique.size).T
 
             run_blocks(sum_block, blocks)
-            # the sums replace the chunks, which frees their backward context
-            # (Bi's tanh derivatives, the upstream arrays) once the sums exist
-            self._chunks[tag] = [(unique, row_blocks(summed))]
             out[tag] = (unique, summed)
-        self.coalesced = out
         return out
-
-
-def row_blocks(rows: np.ndarray):
-    """The ``grads`` function of a chunk held as one (n, d) array."""
-    return lambda cols: rows[:, cols].T
 
 
 def _unique_inverse(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,16 +169,16 @@ def batch_loss_and_grad(
     kind="add",
     margin: float = 40.0,
     lam: float = 1.0,
-) -> tuple[LossBreakdown, GradientAccumulator]:
+) -> tuple[LossBreakdown, dict[str, tuple[np.ndarray, np.ndarray]]]:
     """Summed loss over a mixed batch plus its exact sparse gradient; the
     one batch path, shared by training and the gradient oracles.
 
     An absent or empty source may be None or a batch of zero samples.
     Rows touched by several samples accumulate additively, each row's terms
-    summed in a fixed order whatever the column block width. The returned
-    accumulator is already coalesced: ``acc.coalesced`` holds the unique ids
-    and summed rows per language. The regularizer follows the stochastic
-    schedule on exactly those ids: every touched row w contributes
+    summed in a fixed order whatever the column block width. The gradient
+    maps each touched language to ``(ids, rows)``: its unique ids and their
+    summed gradient rows. The regularizer follows the stochastic schedule on
+    exactly those ids: every touched row w contributes
     lam_eff * ||w||^2 with gradient 2 * lam_eff * w, where
     lam_eff = lam * touched_rows / total_rows.
     """
@@ -231,7 +220,7 @@ def batch_loss_and_grad(
                 reg += lam_eff * float((rows * rows).sum())
                 summed += 2.0 * lam_eff * rows
 
-    return LossBreakdown.of(l_bi, l_m1, l_m2, reg), acc
+    return LossBreakdown.of(l_bi, l_m1, l_m2, reg), grads
 
 
 def batch_loss(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind="add",

@@ -198,13 +198,13 @@ def train_step(batch: Batch, tables: TablePair, state: AdaGradState, config: Tra
     """One optimization step: batch gradient, then AdaGrad on exactly the
     touched rows."""
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises in the update
-        breakdown, acc = batch_loss_and_grad(
+        breakdown, grads_by_tag = batch_loss_and_grad(
             batch.pairs, batch.mono_l1, batch.mono_l2, tables,
             config.composition, config.resolved_margin(), config.lam,
         )
     # both tables are computed and checked before either is written
     staged = []
-    for tag, (ids, grads) in acc.coalesced.items():
+    for tag, (ids, grads) in grads_by_tag.items():
         table, g_matrix = tables.by_tag(tag), state.g_by_tag[tag]
         rows = apply_sparse_update(
             table, g_matrix, ids, grads, config.learning_rate, config.adagrad_epsilon,

@@ -94,8 +94,8 @@ def test_criterion_1_gradient_oracle_equivalence():
     for dim, reps in ((2, 90), (8, 70), (40, 40)):
         for _ in range(reps):
             pairs, m1, m2, tables, kind, margin, lam = _random_config(rng, dim)
-            _, acc = batch_loss_and_grad(pairs, m1, m2, tables, kind, margin, lam)
-            for tag, (ids, grads) in acc.coalesce().items():
+            _, grads_by_tag = batch_loss_and_grad(pairs, m1, m2, tables, kind, margin, lam)
+            for tag, (ids, grads) in grads_by_tag.items():
                 matrix = tables.by_tag(tag).matrix
                 for r, i in enumerate(ids):
                     for j in range(dim):
@@ -177,7 +177,7 @@ def test_criterion_4_toy_document_classification(synth_run):
     def encode_docs(raw_docs, vocab):
         return [
             LabeledDocument(
-                doc_id, label, [encode(s, vocab).word_ids for s in sents], vocab.language_tag
+                doc_id, label, [encode(s, vocab) for s in sents], vocab.language_tag
             )
             for label, doc_id, sents in raw_docs
         ]

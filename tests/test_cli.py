@@ -208,9 +208,12 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("mix", ["0.5,0.5", "a,b,c"])
     def test_malformed_mix_flag_is_usage_error(self, prepared, tmp_path, capsys, mix):
-        assert main(train_args(prepared, tmp_path / "model", "--mix", mix)) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "mix needs three" in err
+        with pytest.raises(SystemExit) as exc:
+            main(train_args(prepared, tmp_path / "model", "--mix", mix))
+        assert exc.value.code == 1
+        # argparse's usage, then one error line
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
+        assert len(errors) == 1 and "mix needs three" in errors[0]
 
     def test_mono_use_parallel_switch(self, prepared, tmp_path, capsys):
         outdir = tmp_path / "model"
@@ -298,6 +301,16 @@ def model_dir(prepared, tmp_path):
     return outdir
 
 
+# .vec file text -> what its data error says
+MALFORMED_VEC = {
+    "x 2\nfoo 1.0 2.0\n": "bad.vec:1: malformed header",
+    "1 2\nfoo 1.0 abc\n": "bad.vec:2: non-numeric",
+    "2 2\n<unk> 0.0 0.0\nfoo nan 1.0\n": "bad.vec:3: non-finite",
+    "2 2\n<unk> 0.0 0.0\nfoo 1.0 inf\n": "bad.vec:3: non-finite",
+    "3 2\n<unk> 0.0 0.0\nfoo 1.0 2.0\n": "bad.vec: header promises 3 rows, the file holds 2",
+}
+
+
 class TestNnCommand:
     def test_self_query_rank_one(self, model_dir, capsys):
         code = main([
@@ -326,13 +339,13 @@ class TestNnCommand:
     def test_no_query_is_usage_error(self, model_dir):
         assert main(["nn", "--embeddings", str(model_dir / "en.vec")]) == 1
 
-    @pytest.mark.parametrize("text", ["x 2\nfoo 1.0 2.0\n", "1 2\nfoo 1.0 abc\n"])
+    @pytest.mark.parametrize("text", list(MALFORMED_VEC))
     def test_malformed_number_is_data_error(self, tmp_path, capsys, text):
         vec = tmp_path / "bad.vec"
         vec.write_text(text)
         assert main(["nn", "--embeddings", str(vec), "--query", "foo"]) == 2
         err = capsys.readouterr().err
-        assert "bad.vec" in err and err.count("\n") == 1
+        assert MALFORMED_VEC[text] in err and err.count("\n") == 1
 
 
 def write_docs(path, docs):
@@ -418,6 +431,20 @@ class TestClassifyEvalCommand:
         ])
         assert code == 0
         assert "train size 8" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_train_size_below_one_is_usage_error(self, model_dir, doc_files, capsys, size):
+        train_l1, test_l2 = doc_files
+        code = main([
+            "classify-eval",
+            "--embeddings-l1", str(model_dir / "en.vec"),
+            "--embeddings-l2", str(model_dir / "de.vec"),
+            "--train-docs-l1", str(train_l1), "--test-docs-l2", str(test_l2),
+            "--train-size", size,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--train-size must be >= 1" in err and err.count("\n") == 1
 
     def test_both_directions(self, model_dir, doc_files, tmp_path, capsys):
         train_l1, test_l2 = doc_files
@@ -683,6 +710,26 @@ class TestSettings:
             "--config", str(cfg), "--mix", "proportional",
         ])
         assert seen["config"] == {**CFG_TRAIN_CONFIG, "mix": None}
+
+    @pytest.mark.parametrize("flag,word,setting", [
+        ("--margin", "dim", "margin"),
+        ("--epochs", "none", "epochs"),
+        ("--bilingual-limit", "none", "bilingual_limit"),
+    ])
+    def test_derived_default_flag_beats_config_file(
+        self, prepared_xy, tmp_path, monkeypatch, flag, word, setting
+    ):
+        cfg = self.write_cfg(tmp_path / "all.cfg")
+        seen = self.capture_train(monkeypatch, [
+            "train", "--data-dir", str(prepared_xy), "--outdir", str(tmp_path / "m"),
+            "--config", str(cfg), flag, word,
+        ])
+        if setting == "bilingual_limit":  # the file keeps 3 pairs, the flag all of them
+            assert seen["config"] == CFG_TRAIN_CONFIG
+            assert len(seen["data"].parallel) > 3
+        else:
+            assert seen["config"] == {**CFG_TRAIN_CONFIG, setting: None}
+            assert len(seen["data"].parallel) == 3
 
     @pytest.mark.parametrize(
         "command", ["preprocess", "train", "export", "nn", "classify-eval", "compose"]

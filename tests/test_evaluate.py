@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xlembed.corpus import Sentence, Vocabulary, build_vocabulary
+from xlembed.corpus import Vocabulary, build_vocabulary
 from xlembed.embeddings import EmbeddingTable, TablePair, init_table
 from xlembed.errors import DataError, OovError
 from xlembed.evaluate import (
@@ -11,7 +11,6 @@ from xlembed.evaluate import (
     crosslingual_eval,
     encode_documents,
     nearest_neighbors,
-    perceptron_predict,
     perceptron_train,
     read_labeled_documents,
     represent_document,
@@ -48,9 +47,8 @@ class TestPerceptron:
         x = np.zeros((40, 8))
         y = np.array([0, 1, 2, 3] * 10)
         model = perceptron_train(docs_from_labels(y), x, epochs=3, seed=0)
-        assert model.predict_index(np.zeros(8)) == 0  # lowest class index
         predictions = model.predict_indices(x)
-        assert (predictions == 0).all()
+        assert (predictions == 0).all()  # lowest class index
         assert (predictions == y).mean() == pytest.approx(0.25)
 
     def test_averaged_equals_final_when_weights_never_change(self):
@@ -94,13 +92,8 @@ class TestPerceptron:
         model = PerceptronModel(["neg", "pos"], 2)
         model.w[:] = [[-1.0, 0.0], [1.0, 0.0]]
         model._t = 1  # averaged == raw here
-        assert perceptron_predict(model, np.array([2.0, 0.0]), use_average=False) == "pos"
-        assert perceptron_predict(model, np.array([-2.0, 1.0]), use_average=False) == "neg"
-
-    def test_dim_mismatch_rejected(self):
-        model = PerceptronModel(["a", "b"], 3)
-        with pytest.raises(DataError):
-            model.predict_index(np.zeros(4))
+        predicted = model.predict_indices([[2.0, 0.0], [-2.0, 1.0]], use_average=False)
+        assert [model.classes[i] for i in predicted] == ["pos", "neg"]
 
 
 class TestRepresentDocument:

@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import weakref
 from dataclasses import astuple
 
 import numpy as np
@@ -16,7 +17,7 @@ from xlembed.corpus import (
     sample_bilingual_pairs,
     sample_phrase_triples,
 )
-from xlembed import embeddings
+from xlembed import embeddings, objective
 from xlembed.embeddings import EmbeddingTable, TablePair, init_table
 from xlembed.errors import DataError
 from xlembed.objective import (
@@ -24,7 +25,6 @@ from xlembed.objective import (
     LossBreakdown,
     batch_loss,
     batch_loss_and_grad,
-    row_blocks,
 )
 from xlembed.trainer import (
     AdaGradState,
@@ -34,6 +34,11 @@ from xlembed.trainer import (
     proportional_mix,
     train_step,
 )
+
+
+def row_blocks(rows: np.ndarray):
+    """The ``grads`` function of an accumulator chunk held as one (n, d) array."""
+    return lambda cols: rows[:, cols].T
 
 
 def tables_of(matrix_l1, matrix_l2) -> TablePair:
@@ -48,8 +53,8 @@ def one_pair(a, b):
     are the single words a and b."""
     tables = tables_of([a], [b])
     pair = PairBatch("en", "de", spans([0]), spans([0]))
-    breakdown, acc = batch_loss_and_grad(pair, None, None, tables, "add", 0.0, 0.0)
-    return breakdown.bilingual, acc.coalesced["en"][1][0], acc.coalesced["de"][1][0]
+    breakdown, coalesced = batch_loss_and_grad(pair, None, None, tables, "add", 0.0, 0.0)
+    return breakdown.bilingual, coalesced["en"][1][0], coalesced["de"][1][0]
 
 
 def one_triple(ao, ai, bn, len_outer, len_inner, margin, len_noise=3):
@@ -63,10 +68,10 @@ def one_triple(ao, ai, bn, len_outer, len_inner, margin, len_noise=3):
         spans([2] + [0] * (len_inner - 1)),
         spans([3] + [0] * (len_noise - 1)),
     )
-    breakdown, acc = batch_loss_and_grad(
+    breakdown, coalesced = batch_loss_and_grad(
         None, triple, None, tables_of(m, [m[0]]), "add", margin, 0.0
     )
-    ids, rows = acc.coalesced["en"]
+    ids, rows = coalesced["en"]
     grads = np.zeros_like(m)
     grads[ids] = rows
     return breakdown.mono_l1, grads[1], grads[2], grads[3]
@@ -192,17 +197,17 @@ class TestRegularizer:
     def test_lambda_zero_no_gradient_effect(self):
         tables = tables_of([[1.0, 1.0], [2.0, 2.0]], [[1.0, 0.0], [0.0, 1.0]])
         pair = PairBatch("en", "de", spans([0, 1]), spans([0]))
-        b0, acc0 = batch_loss_and_grad(pair, None, None, tables, "add", 1.0, 0.0)
+        b0, _ = batch_loss_and_grad(pair, None, None, tables, "add", 1.0, 0.0)
         assert b0.regularizer == 0.0
 
     def test_stochastic_rule_hand_value(self):
         # one touched row (3,4) out of 2 total rows: lam_eff = 1 * 1/2
         tables = tables_of([[3.0, 4.0]], [[9.0, 9.0]])
         triple = TripleBatch("en", *[spans([0, 0, 0])] * 3)
-        breakdown, acc = batch_loss_and_grad(None, triple, None, tables, "add", 0.0, 1.0)
+        breakdown, coalesced = batch_loss_and_grad(None, triple, None, tables, "add", 0.0, 1.0)
         lam_eff = 1.0 * 1 / 2
         assert breakdown.regularizer == pytest.approx(lam_eff * 25.0)
-        ids, grads = acc.coalesced["en"]
+        ids, grads = coalesced["en"]
         assert ids.tolist() == [0]
         assert np.allclose(grads[0], 2 * lam_eff * np.array([3.0, 4.0]))
 
@@ -213,14 +218,14 @@ class TestRegularizer:
         tables = tables_of([[0.0, 0.0], [3.0, 4.0], [1.0, 2.0]], [[0.0, 0.0], [3.0, 4.0]])
         pair = PairBatch("en", "de", spans([1]), spans([1]))
         triple = TripleBatch("en", *[spans([1, 2, 1])] * 3)
-        breakdown, acc = batch_loss_and_grad(pair, triple, None, tables, "add", 0.0, 1.0)
+        breakdown, coalesced = batch_loss_and_grad(pair, triple, None, tables, "add", 0.0, 1.0)
         assert breakdown.bilingual == 0.0 and breakdown.mono_l1 == 0.0
         # en {1, 2} and de {1}, not 4
-        assert sum(ids.size for ids, _ in acc.coalesced.values()) == 3
+        assert sum(ids.size for ids, _ in coalesced.values()) == 3
         lam_eff = 1.0 * 3 / 5
         assert breakdown.regularizer == pytest.approx(lam_eff * (25.0 + 5.0 + 25.0))
-        en_ids, en_grads = acc.coalesced["en"]
-        de_ids, de_grads = acc.coalesced["de"]
+        en_ids, en_grads = coalesced["en"]
+        de_ids, de_grads = coalesced["de"]
         assert en_ids.tolist() == [1, 2] and de_ids.tolist() == [1]
         assert np.allclose(en_grads, 2 * lam_eff * np.array([[3.0, 4.0], [1.0, 2.0]]))
         assert np.allclose(de_grads, 2 * lam_eff * np.array([[3.0, 4.0]]))
@@ -258,9 +263,9 @@ def make_world(seed, dim, vocab=12, kind="add"):
 class TestBatchLossAndGrad:
     def test_empty_batch(self):
         tables = TablePair(init_table(3, 2, 0.1, 0, "en"), init_table(3, 2, 0.1, 1, "de"))
-        breakdown, acc = batch_loss_and_grad(None, None, None, tables, "add", 1.0, 1.0)
+        breakdown, coalesced = batch_loss_and_grad(None, None, None, tables, "add", 1.0, 1.0)
         assert breakdown.total == 0.0
-        assert acc.coalesced == {}
+        assert coalesced == {}
 
     def test_identical_pair_zero_bilingual_term(self):
         m = [[0.0, 0.0], [1.0, 2.0]]
@@ -280,9 +285,9 @@ class TestBatchLossAndGrad:
     def test_accumulator_addition_across_repeated_words(self):
         tables = tables_of([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
         pair = PairBatch("en", "de", spans([1, 1]), spans([0]))
-        _, acc = batch_loss_and_grad(pair, None, None, tables, "add", 1.0, 0.0)
+        _, coalesced = batch_loss_and_grad(pair, None, None, tables, "add", 1.0, 0.0)
         # v1 = (2, 0), v2 = (0, 0): grad per occurrence of word 1 is 2*diff
-        ids, grads = acc.coalesced["en"]
+        ids, grads = coalesced["en"]
         assert ids.tolist() == [1]
         assert np.allclose(grads[0], 2 * np.array([2.0 * 2, 0.0]))
 
@@ -313,9 +318,9 @@ class TestBatchLossAndGrad:
         pair = PairBatch("en", "de", spans([1, 2]), spans([1, 2]))
         # outer == inner and the noise phrase is far: hinge inactive, d_in = 0
         triple = TripleBatch("en", spans([1, 1, 1]), spans([1, 1, 1]), spans([2, 2, 2]))
-        breakdown, acc = batch_loss_and_grad(pair, triple, None, tables_of(m, m), "add", 1.0, 0.0)
+        breakdown, coalesced = batch_loss_and_grad(pair, triple, None, tables_of(m, m), "add", 1.0, 0.0)
         assert breakdown.total == 0.0
-        for tag, (ids, grads) in acc.coalesce().items():
+        for tag, (ids, grads) in coalesced.items():
             assert np.allclose(grads, 0.0, atol=1e-15)
 
     def test_wrong_language_tag_rejected(self):
@@ -329,8 +334,8 @@ class TestBatchLossAndGrad:
         for seed in range(6):
             pb, t1, t2, tables = make_world(seed, 4)
             margin, lam = 0.4, 0.7
-            _, acc = batch_loss_and_grad(pb, t1, t2, tables, kind, margin, lam)
-            for tag, (ids, grads) in acc.coalesce().items():
+            _, coalesced = batch_loss_and_grad(pb, t1, t2, tables, kind, margin, lam)
+            for tag, (ids, grads) in coalesced.items():
                 matrix = tables.by_tag(tag).matrix
                 for r, i in enumerate(ids):
                     for j in range(matrix.shape[1]):
@@ -360,10 +365,10 @@ def synth_batch(synth_world):
     return batch, tables
 
 
-def batch_digest(breakdown, acc) -> str:
+def batch_digest(breakdown, coalesced) -> str:
     h = hashlib.sha256(np.array(astuple(breakdown), dtype="<f8").tobytes())
-    for tag in sorted(acc.coalesced):
-        ids, rows = acc.coalesced[tag]
+    for tag in sorted(coalesced):
+        ids, rows = coalesced[tag]
         h.update(ids.astype("<i8").tobytes())
         h.update(np.ascontiguousarray(rows, dtype="<f8").tobytes())
     return h.hexdigest()
@@ -376,10 +381,10 @@ class TestBatchBits:
         digests = []
         for cells in (1, embeddings.BLOCK_CELLS, 10**9):  # one column, default, all columns
             monkeypatch.setattr(embeddings, "BLOCK_CELLS", cells)
-            breakdown, acc = batch_loss_and_grad(
+            breakdown, coalesced = batch_loss_and_grad(
                 batch.pairs, batch.mono_l1, batch.mono_l2, tables, kind, 40.0, 1.0
             )
-            digests.append(batch_digest(breakdown, acc))
+            digests.append(batch_digest(breakdown, coalesced))
         assert digests[0] == digests[1] == digests[2]
 
     @pytest.mark.parametrize("kind", ["add", "bi"])
@@ -391,12 +396,12 @@ class TestBatchBits:
             one_column_blocks(workers)
             sys.setswitchinterval(1e-6)  # threads switch often inside each block
             try:
-                breakdown, acc = batch_loss_and_grad(
+                breakdown, coalesced = batch_loss_and_grad(
                     batch.pairs, batch.mono_l1, batch.mono_l2, tables, kind, 40.0, 1.0
                 )
             finally:
                 sys.setswitchinterval(interval)
-            digests.append(batch_digest(breakdown, acc))
+            digests.append(batch_digest(breakdown, coalesced))
         assert digests[0] == digests[1]
 
     def test_golden_add_batch(self, synth_batch):
@@ -404,11 +409,11 @@ class TestBatchBits:
         # this one replaced; Add only, since tanh's last bit depends on the
         # platform's math library
         batch, tables = synth_batch
-        breakdown, acc = batch_loss_and_grad(
+        breakdown, coalesced = batch_loss_and_grad(
             batch.pairs, batch.mono_l1, batch.mono_l2, tables, "add", 40.0, 1.0
         )
         assert breakdown.total == 35218.28197828421
-        assert batch_digest(breakdown, acc) == (
+        assert batch_digest(breakdown, coalesced) == (
             "93653e5f6403e0260a86ce0c688c8b8974416e798af26fb79aa0ba38c143a9e4"
         )
 
@@ -443,18 +448,37 @@ class TestGradientAccumulator:
         assert ids.tolist() == unique.tolist()
         assert np.allclose(grads, expected, rtol=0, atol=1e-12)
 
-    def test_coalesced_kept_until_next_add(self):
+    def test_coalesce_frees_backward_context(self, synth_batch, monkeypatch):
+        # every composition of an Add+Bi batch is gone once coalesce has
+        # summed the gradient, while the accumulator itself still exists
+        batch, tables = synth_batch
+        refs, alive = [], []
+
+        class Tracked(embeddings.SpanComposition):
+            def __init__(self, *args):
+                super().__init__(*args)
+                refs.append(weakref.ref(self))
+
+        coalesce = GradientAccumulator.coalesce
+
+        def checked_coalesce(acc):
+            out = coalesce(acc)
+            alive.append(sum(ref() is not None for ref in refs))
+            return out
+
+        monkeypatch.setattr(objective, "SpanComposition", Tracked)
+        monkeypatch.setattr(GradientAccumulator, "coalesce", checked_coalesce)
+        for kind in ("add", "bi"):
+            batch_loss_and_grad(batch.pairs, batch.mono_l1, batch.mono_l2, tables, kind, 40.0, 1.0)
+        assert len(refs) == 2 * (2 + 3 + 3)  # the pair sides and two triples, per kind
+        assert alive == [0, 0]
+        assert all(ref() is None for ref in refs)
+
+    def test_second_coalesce_is_empty(self):
         acc = GradientAccumulator(2)
-        assert acc.coalesced is None
         acc.add("en", [1, 1], row_blocks(np.ones((2, 2))))
-        out = acc.coalesce()
-        assert acc.coalesced is out
-        assert out["en"][1].tolist() == [[2.0, 2.0]]
-        acc.add("en", [2], row_blocks(np.array([[1.0, 0.0]])))
-        assert acc.coalesced is None
-        ids, grads = acc.coalesce()["en"]
-        assert ids.tolist() == [1, 2]
-        assert grads.tolist() == [[2.0, 2.0], [1.0, 0.0]]
+        assert acc.coalesce()["en"][1].tolist() == [[2.0, 2.0]]
+        assert acc.coalesce() == {}
 
     def test_shape_mismatch_rejected(self):
         acc = GradientAccumulator(3)
