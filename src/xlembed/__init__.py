@@ -22,7 +22,7 @@ from .embeddings import (
     CompositionKind,
     EmbeddingTable,
     TablePair,
-    compose_document,
+    compose_documents,
     init_table,
     load_embeddings_text,
     save_embeddings_text,

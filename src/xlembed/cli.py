@@ -12,8 +12,6 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import corpus as corp
 from . import evaluate as ev
 from .embeddings import (
@@ -447,6 +445,8 @@ def _load_vec_as_vocab_table(path, tag: str) -> tuple[corp.Vocabulary, Embedding
 
 
 def run_nn(args) -> int:
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     _require_files(args.embeddings, args.dst_embeddings, args.query_file)
     queries = list(args.query)
     if args.query_file:
@@ -490,6 +490,8 @@ def run_classify_eval(args) -> int:
                           "and/or --train-docs-l2/--test-docs-l1")
     if args.train_size is not None and args.train_size < 1:
         raise ConfigError(f"--train-size must be >= 1, got {args.train_size}")
+    if args.epochs < 1:
+        raise ConfigError(f"--epochs must be >= 1, got {args.epochs}")
     _require_files(args.embeddings_l1, args.embeddings_l2)
     for _, train_path, _, test_path in directions:
         _require_files(train_path, test_path)
@@ -525,10 +527,8 @@ def run_compose(args) -> int:
     _require_files(args.embeddings, args.docs)
     vocab, table = _load_vec_as_vocab_table(args.embeddings, "doc")
     docs = _load_docs_for(args.docs, vocab)
-    vectors = [
-        ev.represent_document(d, table, args.composition, args.norm) for d in docs
-    ]
-    save_embeddings_text(args.out, [d.doc_id for d in docs], np.stack(vectors))
+    vectors = ev.represent_document(docs, table, args.composition, args.norm)
+    save_embeddings_text(args.out, [d.doc_id for d in docs], vectors)
     print(f"wrote {args.out} ({len(docs)} documents)")
     return 0
 

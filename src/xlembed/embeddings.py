@@ -3,12 +3,13 @@
 The model parameters are nothing but one word-vector table per language.
 Spans compose either by plain addition or by summing tanh over the vector
 sums of adjacent word bigrams, which makes the result order sensitive.
-Batched composition (:class:`SpanComposition`) runs dimension-major, one
-block of embedding columns at a time and builds no per-position gradient
-array; Bi keeps one (d, n_positions) tanh-derivative array. The column
-blocks of a call run side by side on a pool of one thread per usable core
-(:func:`run_blocks`); each block writes only its own columns, so the results
-are bit-identical whatever the thread count, and there is nothing to tune.
+Composition (:class:`SpanComposition`) runs dimension-major, one block of
+embedding columns at a time, and keeps no per-position array between the
+forward and the backward; training and evaluation
+(:func:`compose_documents`) share it. The column blocks of a call run side
+by side on a pool of one thread per usable core (:func:`run_blocks`); each
+block writes only its own columns, so the results are bit-identical
+whatever the thread count, and there is nothing to tune.
 """
 
 from __future__ import annotations
@@ -117,42 +118,6 @@ class TablePair:
 
 
 # ---------------------------------------------------------------------------
-# sentence and document composition
-
-
-def sentence_vector(table: EmbeddingTable, word_ids, kind) -> np.ndarray:
-    """Compose one encoded sentence.
-
-    A single-word sentence under Bi yields the zero vector (a sentence with
-    no bigrams), so that real corpora containing one-token sentences do not
-    abort mid-run.
-    """
-    kind = CompositionKind.coerce(kind)
-    rows = table.matrix[np.asarray(word_ids)]
-    if rows.shape[0] == 0:
-        raise CompositionError("cannot compose an empty sentence")
-    if kind is CompositionKind.ADD:
-        return rows.sum(axis=0)
-    if rows.shape[0] < 2:
-        return np.zeros(table.dim, dtype=table.matrix.dtype)
-    return np.tanh(rows[:-1] + rows[1:]).sum(axis=0)
-
-
-def compose_document(sentences, table: EmbeddingTable, kind) -> np.ndarray:
-    """Two-level composition of a document given as a list of id arrays: words
-    into sentences, then sentences into the document with the same function."""
-    kind = CompositionKind.coerce(kind)
-    if not sentences:
-        raise CompositionError("cannot compose an empty document")
-    if kind is CompositionKind.BI and len(sentences) < 2:
-        raise CompositionError("Bi document composition needs at least two sentences")
-    sent_vecs = np.stack([sentence_vector(table, ids, kind) for ids in sentences])
-    if kind is CompositionKind.ADD:
-        return sent_vecs.sum(axis=0)
-    return np.tanh(sent_vecs[:-1] + sent_vecs[1:]).sum(axis=0)
-
-
-# ---------------------------------------------------------------------------
 # batched composition over flat span sets, one block of columns at a time
 
 # cells per column block: tiny batches take every column in one block,
@@ -170,8 +135,8 @@ def column_blocks(dim: int, positions: int) -> list[slice]:
 
 def _block_pool() -> ThreadPoolExecutor | None:
     """One thread per usable core, or no pool on a single core. Threads
-    start on the first multi-block call, so a process that never trains
-    starts none."""
+    start on the first multi-block call, so a process that composes only
+    small span sets starts none."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -206,60 +171,57 @@ def run_blocks(block, blocks: list[slice]) -> None:
 
 
 def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Row sums of consecutive variable-length segments; empty segments sum
-    to zero."""
-    ends = np.cumsum(lengths)
-    csum = np.empty((values.shape[0] + 1, values.shape[1]), dtype=values.dtype)
-    csum[0] = 0.0
-    np.cumsum(values, axis=0, out=csum[1:])
-    return csum[ends] - csum[ends - lengths]
+    """Sums of consecutive variable-length segments along the last axis of
+    ``values``, one column per segment; empty segments sum to zero."""
+    # reduceat cannot express an empty segment: sum the others only
+    filled = lengths > 0
+    starts = lengths.cumsum()[filled] - lengths[filled]
+    out = np.zeros(values.shape[:-1] + lengths.shape, dtype=values.dtype)
+    out[..., filled] = np.add.reduceat(values, starts, axis=-1)
+    return out
 
 
 class SpanComposition:
-    """Composed vectors for a batch of spans plus the backward context needed
-    to push a per-span upstream gradient down to per-position gradients.
+    """Composed vectors for a batch of spans, and the backward that pushes a
+    per-span upstream gradient down to per-position gradients.
 
     The work is dimension-major: each block of columns (:func:`column_blocks`)
     gathers its columns for every position from ``matrix.T``, which is
-    contiguous when ``matrix`` is column-major (``np.asfortranarray``), and
-    no per-position gradient array is built; the blocks run through
-    :func:`run_blocks`. ``values`` is C-ordered (n_spans, d). Bi keeps one
-    (d, n_positions) array, the tanh derivative of every bigram indexed by
-    the bigram's first position.
+    contiguous when ``matrix`` is column-major (``np.asfortranarray``); the
+    blocks run through :func:`run_blocks`. ``values`` is C-ordered
+    (n_spans, d). Nothing per position outlives a block: the Bi backward
+    gathers its block again from the kept view ``matrix.T``.
     """
 
     def __init__(self, kind, matrix: np.ndarray, span: SpanSet):
         self.kind = CompositionKind.coerce(kind)
         self.span = span
-        columns = matrix.T
-        dim = columns.shape[0]
+        self._columns = matrix.T
+        if self.kind is CompositionKind.BI:
+            # bigram p joins positions p and p + 1; none starts at a span's
+            # last position, so that slot holds zero
+            self._last = span.lengths.cumsum()[span.lengths > 0] - 1
+        dim = self._columns.shape[0]
         self.values = np.empty((span.n, dim), dtype=matrix.dtype)
-        blocks = column_blocks(dim, span.ids.size)
+
+        def block(cols):
+            self.values[:, cols] = segment_sums(self._block(cols), span.lengths).T
+
+        run_blocks(block, column_blocks(dim, span.ids.size))
         if self.kind is CompositionKind.ADD:
-            def add_block(cols):
-                rows = columns[cols].take(span.ids, axis=1)
-                self.values[:, cols] = segment_sums(rows.T, span.lengths)
+            self._columns = None  # the Add backward reads no table
 
-            run_blocks(add_block, blocks)
-            return
-        # bigram p joins positions p and p + 1; none starts at a span's last
-        # position, so that slot holds zero in both tanh and its derivative
-        # (adding zero leaves every prefix sum, hence every value, unchanged)
-        last = span.lengths.cumsum()[span.lengths > 0] - 1
-        self._dtanh = np.empty((dim, span.ids.size), dtype=matrix.dtype)
-
-        def bi_block(cols):
-            rows = columns[cols].take(span.ids, axis=1)
-            t = self._dtanh[cols]
-            np.add(rows[:, :-1], rows[:, 1:], out=t[:, :-1])
-            np.tanh(t[:, :-1], out=t[:, :-1])
-            t[:, last] = 0.0
-            self.values[:, cols] = segment_sums(t.T, span.lengths)
-            np.multiply(t, t, out=t)
-            np.subtract(1.0, t, out=t)
-            t[:, last] = 0.0
-
-        run_blocks(bi_block, blocks)
+    def _block(self, cols: slice) -> np.ndarray:
+        """The (width, n_positions) block whose span sums are ``values``:
+        the word columns under Add, the bigram tanh under Bi."""
+        rows = self._columns[cols].take(self.span.ids, axis=1)
+        if self.kind is CompositionKind.ADD:
+            return rows
+        t = np.empty_like(rows)
+        np.add(rows[:, :-1], rows[:, 1:], out=t[:, :-1])
+        np.tanh(t[:, :-1], out=t[:, :-1])
+        t[:, self._last] = 0.0
+        return t
 
     def position_grads(self, upstream: np.ndarray, cols: slice) -> np.ndarray:
         """Gradient of every flat position for the columns ``cols`` of one
@@ -268,12 +230,40 @@ class SpanComposition:
         up = upstream[:, cols].T.repeat(self.span.lengths, axis=1)
         if self.kind is CompositionKind.ADD:
             return up
-        # each bigram feeds its own position and the next one
-        d = self._dtanh[cols] * up
-        out = np.empty_like(d)
+        # tanh' = 1 - tanh^2 of each bigram, which feeds its own position
+        # and the next one
+        d = self._block(cols)
+        np.multiply(d, d, out=d)
+        np.subtract(1.0, d, out=d)
+        d[:, self._last] = 0.0
+        np.multiply(d, up, out=d)
+        out = up  # no longer needed: reuse its memory
         out[:, :1] = d[:, :1]
         np.add(d[:, 1:], d[:, :-1], out=out[:, 1:])
         return out
+
+
+def compose_documents(documents, matrix: np.ndarray, kind) -> np.ndarray:
+    """Two-level composition of documents, each a list of encoded id arrays,
+    one row per document: a :class:`SpanComposition` over every sentence of
+    the set, then one over the sentence vectors. A one-word sentence under
+    Bi composes to zero, so corpora with one-token sentences do not abort."""
+    kind = CompositionKind.coerce(kind)
+    if not documents:
+        raise CompositionError("cannot compose an empty document set")
+    n_sentences = np.array([len(doc) for doc in documents], dtype=np.int64)
+    if not n_sentences.all():
+        raise CompositionError("cannot compose an empty document")
+    if kind is CompositionKind.BI and (n_sentences < 2).any():
+        raise CompositionError("Bi document composition needs at least two sentences")
+    sentences = [ids for doc in documents for ids in doc]
+    lengths = np.array([len(ids) for ids in sentences], dtype=np.int64)
+    if not lengths.all():
+        raise CompositionError("cannot compose an empty sentence")
+    words = SpanSet(np.concatenate(sentences), lengths)
+    sentence_vectors = SpanComposition(kind, matrix, words).values
+    by_document = SpanSet(np.arange(lengths.size), n_sentences)
+    return SpanComposition(kind, sentence_vectors, by_document).values
 
 
 # ---------------------------------------------------------------------------

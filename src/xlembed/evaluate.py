@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Vocabulary, encode
-from .embeddings import EmbeddingTable, TablePair, compose_document
+from .embeddings import EmbeddingTable, TablePair, compose_documents
 from .errors import DataError, OovError
 
 # ASCII unit separator: delimits sentences within a document line
@@ -30,21 +30,24 @@ class LabeledDocument:
     language_tag: str = ""
 
 
-def represent_document(doc: LabeledDocument, table: EmbeddingTable, kind, norm_mode: str = "none") -> np.ndarray:
-    """Two-level composition of a document, with optional normalization.
+def represent_document(docs, table: EmbeddingTable, kind, norm_mode: str = "none") -> np.ndarray:
+    """Two-level composition of a set of documents, one row per document,
+    with optional normalization.
 
-    ``by_token_count`` divides by the document's token count (the mean word
-    vector under Add); ``unit_l2`` rescales to unit norm (zero stays zero).
+    ``by_token_count`` divides by each document's token count (the mean
+    word vector under Add); ``unit_l2`` rescales to unit norm (zero stays
+    zero).
     """
     if norm_mode not in NORM_MODES:
         raise DataError(f"unknown norm mode {norm_mode!r}, expected one of {NORM_MODES}")
-    vec = np.asarray(compose_document(doc.sentences, table, kind), dtype=np.float64)
+    vecs = compose_documents([d.sentences for d in docs], table.matrix, kind)
+    vecs = np.asarray(vecs, dtype=np.float64)
     if norm_mode == "by_token_count":
-        return vec / sum(len(ids) for ids in doc.sentences)
+        return vecs / np.array([[sum(map(len, d.sentences))] for d in docs])
     if norm_mode == "unit_l2":
-        norm = float(np.linalg.norm(vec))
-        return vec / norm if norm > 0 else vec
-    return vec
+        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+        return np.divide(vecs, norms, out=vecs, where=norms > 0)
+    return vecs
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +165,9 @@ def crosslingual_eval(
     seed: int = 0,
     train_size: int | None = None,
 ) -> EvalReport:
-    """Compose all documents (each with its own language's table), train the
-    perceptron on the first set, and report accuracy on the second."""
+    """Compose each document set with its language's table, train the
+    perceptron on the first set, and report accuracy on the second. Each
+    set holds documents of one language."""
     train_docs = list(train_docs)
     test_docs = list(test_docs)
     if not train_docs or not test_docs:
@@ -180,12 +184,10 @@ def crosslingual_eval(
         train_docs = [train_docs[i] for i in sorted(keep)]
 
     def compose_all(docs):
-        return np.stack(
-            [
-                represent_document(d, tables.by_tag(d.language_tag), kind, norm_mode)
-                for d in docs
-            ]
-        )
+        tags = sorted({d.language_tag for d in docs})
+        if len(tags) > 1:
+            raise DataError(f"a document set mixes languages {tags}")
+        return represent_document(docs, tables.by_tag(tags[0]), kind, norm_mode)
 
     x_train = compose_all(train_docs)
     x_test = compose_all(test_docs)

@@ -9,8 +9,7 @@ each mini-batch. Batch losses are plain sums over samples, not means.
 
 The batch path is dimension-major: compositions and the gradient
 accumulator work one block of embedding columns at a time over contiguous
-1-D data, and no per-position gradient array is built (Bi compositions
-keep one (d, n_positions) tanh-derivative array each). The blocks of one
+1-D data, and no per-position array outlives a block. The blocks of one
 call run side by side on one thread per usable core
 (:func:`xlembed.embeddings.run_blocks`); each writes only its own columns,
 so losses and gradients are bit-identical whatever the thread count, and
@@ -77,7 +76,7 @@ class GradientAccumulator:
     def coalesce(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Unique ids per language with their summed gradient rows. Each
         language's chunks leave the accumulator as they are summed, which
-        frees their backward context (Bi's tanh derivatives, the upstream
+        frees their backward context (the compositions, the upstream
         arrays) once the sums exist; a second call returns ``{}``."""
         out = {}
         for tag in list(self._chunks):
@@ -204,7 +203,7 @@ def batch_loss_and_grad(
     l_bi = _pair_term(pair_batch, columns, kind, acc) if pair_batch else 0.0
     l_m1 = _triple_term(triple_l1, columns, kind, margin, acc) if triple_l1 else 0.0
     l_m2 = _triple_term(triple_l2, columns, kind, margin, acc) if triple_l2 else 0.0
-    del columns  # not needed by the backward pass in coalesce
+    del columns  # Bi compositions keep theirs for the backward in coalesce
 
     # the coalesced ids are the touched set; regularizer rows are added
     # after the data sums, so every per-row sum keeps a fixed order

@@ -339,6 +339,13 @@ class TestNnCommand:
     def test_no_query_is_usage_error(self, model_dir):
         assert main(["nn", "--embeddings", str(model_dir / "en.vec")]) == 1
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_usage_error(self, model_dir, capsys, k):
+        code = main(["nn", "--embeddings", str(model_dir / "en.vec"), "--query", "cat", "--k", k])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--k must be >= 1" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("text", list(MALFORMED_VEC))
     def test_malformed_number_is_data_error(self, tmp_path, capsys, text):
         vec = tmp_path / "bad.vec"
@@ -446,6 +453,20 @@ class TestClassifyEvalCommand:
         err = capsys.readouterr().err
         assert "--train-size must be >= 1" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("epochs", ["0", "-3"])
+    def test_epochs_below_one_is_usage_error(self, model_dir, doc_files, capsys, epochs):
+        train_l1, test_l2 = doc_files
+        code = main([
+            "classify-eval",
+            "--embeddings-l1", str(model_dir / "en.vec"),
+            "--embeddings-l2", str(model_dir / "de.vec"),
+            "--train-docs-l1", str(train_l1), "--test-docs-l2", str(test_l2),
+            "--epochs", epochs,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--epochs must be >= 1" in err and err.count("\n") == 1
+
     def test_both_directions(self, model_dir, doc_files, tmp_path, capsys):
         train_l1, test_l2 = doc_files
         code = main([
@@ -501,6 +522,19 @@ class TestComposeCommand:
         _, vb = load_embeddings_text(b)
         token_count = 8  # every doc in the fixture has 2 sentences x 4 tokens
         assert np.allclose(va, vb * token_count, atol=1e-9)
+
+    def test_file_without_documents_is_data_error(self, model_dir, tmp_path, capsys):
+        docs = tmp_path / "none.docs"
+        docs.write_text("\n")
+        out = tmp_path / "docs.vec"
+        code = main([
+            "compose", "--embeddings", str(model_dir / "en.vec"),
+            "--docs", str(docs), "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "empty document set" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_preprocess_defaults_match_reference_thresholds():

@@ -8,17 +8,17 @@ import pytest
 from conftest import spans
 
 from xlembed import embeddings
+from xlembed.corpus import SpanSet
 from xlembed.embeddings import (
     CompositionKind,
     SpanComposition,
     TablePair,
     column_blocks,
-    compose_document,
+    compose_documents,
     init_table,
     load_embeddings_text,
     save_embeddings_text,
     segment_sums,
-    sentence_vector,
 )
 from xlembed.errors import CompositionError, DataError
 
@@ -160,57 +160,76 @@ class TestComposeBackward:
             assert (np.abs(analytic - fd) / denom).max() <= 1e-6
 
 
+def ids(*values):
+    return np.array(values, dtype=np.int32)
+
+
+# (kind, documents) that cannot be composed
+UNCOMPOSABLE = {
+    "no documents": ("add", []),
+    "empty document": ("add", [[ids(1, 2)], []]),
+    "empty sentence": ("add", [[ids(1, 2), ids()]]),
+    "one-sentence Bi document": ("bi", [[ids(1, 2), ids(3)], [ids(1, 2)]]),
+}
+
+
 class TestComposeDocument:
-    def _table(self, seed=0):
-        return init_table(20, 4, 0.5, seed=seed, language_tag="en")
+    def _matrix(self, seed=0):
+        return init_table(20, 4, 0.5, seed=seed, language_tag="en").matrix
+
+    @pytest.mark.parametrize("kind", ["add", "bi"])
+    def test_set_matches_two_level_oracle(self, kind):
+        rng = np.random.default_rng(11)
+        matrix = rng.normal(scale=0.5, size=(30, 5))
+        fewest = 2 if kind == "bi" else 1
+        documents = [
+            [rng.integers(0, 30, size=rng.integers(1, 8)) for _ in range(n)]
+            for n in rng.integers(fewest, 7, size=25)
+        ]
+        documents[0][0] = documents[3][-1] = ids(7)  # one-word sentences
+        out = compose_documents(documents, matrix, kind)
+        assert out.shape == (25, 5)
+        for doc, row in zip(documents, out):
+            sentence_vecs = [oracle.compose(kind, matrix[s]) for s in doc]
+            assert np.abs(row - oracle.compose(kind, sentence_vecs)).max() <= 1e-12
 
     def test_add_equals_flat_sum_over_words(self):
-        table = self._table()
-        doc = [np.array([1, 2, 3], dtype=np.int32), np.array([4, 5], dtype=np.int32)]
-        out = compose_document(doc, table, "add")
-        flat = table.matrix[[1, 2, 3, 4, 5]].sum(axis=0)
-        assert np.allclose(out, flat, atol=1e-12)
+        matrix = self._matrix()
+        out = compose_documents([[ids(1, 2, 3), ids(4, 5)]], matrix, "add")
+        assert np.allclose(out[0], matrix[[1, 2, 3, 4, 5]].sum(axis=0), atol=1e-12)
 
     def test_single_sentence_doc_add(self):
-        table = self._table()
-        out = compose_document([np.array([7, 9])], table, "add")
-        assert np.allclose(out, table.matrix[[7, 9]].sum(axis=0))
+        matrix = self._matrix()
+        out = compose_documents([[ids(1, 2)], [ids(7, 9)]], matrix, "add")
+        assert np.allclose(out[1], matrix[[7, 9]].sum(axis=0), atol=1e-12)
 
     def test_bi_two_level_matches_hand_composition(self):
-        table = self._table(3)
-        s1, s2 = np.array([1, 2, 3]), np.array([4, 5])
-        out = compose_document([s1, s2], table, "bi")
+        m = self._matrix(3)
+        out = compose_documents([[ids(1, 2, 3), ids(4, 5)]], m, "bi")
         # hand-compose: sentence vectors then tanh of their sum
-        sv1 = np.tanh(table.matrix[1] + table.matrix[2]) + np.tanh(
-            table.matrix[2] + table.matrix[3]
-        )
-        sv2 = np.tanh(table.matrix[4] + table.matrix[5])
-        assert np.allclose(out, np.tanh(sv1 + sv2), atol=1e-12)
+        sv1 = np.tanh(m[1] + m[2]) + np.tanh(m[2] + m[3])
+        sv2 = np.tanh(m[4] + m[5])
+        assert np.allclose(out[0], np.tanh(sv1 + sv2), atol=1e-12)
 
     def test_bi_single_word_sentence_contributes_zero(self):
-        table = self._table()
-        doc = [np.array([3]), np.array([4, 5, 6])]
-        out = compose_document(doc, table, "bi")
-        sv2 = np.tanh(table.matrix[4] + table.matrix[5]) + np.tanh(
-            table.matrix[5] + table.matrix[6]
-        )
-        assert np.allclose(out, np.tanh(0.0 + sv2), atol=1e-12)
+        m = self._matrix()
+        out = compose_documents([[ids(3), ids(4, 5, 6)]], m, "bi")
+        sv2 = np.tanh(m[4] + m[5]) + np.tanh(m[5] + m[6])
+        assert np.allclose(out[0], np.tanh(0.0 + sv2), atol=1e-12)
 
-    def test_empty_document_errors(self):
+    @pytest.mark.parametrize("case", list(UNCOMPOSABLE))
+    def test_uncomposable_input_errors(self, case):
+        kind, documents = UNCOMPOSABLE[case]
         with pytest.raises(CompositionError):
-            compose_document([], self._table(), "add")
-
-    def test_bi_needs_two_sentences(self):
-        with pytest.raises(CompositionError):
-            compose_document([np.array([1, 2])], self._table(), "bi")
+            compose_documents(documents, self._matrix(), kind)
 
 
 class TestSpanComposition:
     def test_segment_sums_with_empty_segment(self):
-        values = np.arange(8.0).reshape(4, 2)
-        lengths = np.array([2, 0, 2])
-        out = segment_sums(values, lengths)
-        assert out.tolist() == [[2.0, 4.0], [0.0, 0.0], [10.0, 12.0]]
+        values = np.arange(8.0).reshape(4, 2).T  # two columns over four positions
+        out = segment_sums(values, np.array([0, 2, 0, 2, 0]))
+        assert out.T.tolist() == [[0.0, 0.0], [2.0, 4.0], [0.0, 0.0], [10.0, 12.0], [0.0, 0.0]]
+        assert segment_sums(np.zeros((2, 0)), np.array([0, 0])).tolist() == [[0.0, 0.0]] * 2
 
     def test_column_blocks_cover_every_column(self, monkeypatch):
         monkeypatch.setattr(embeddings, "BLOCK_CELLS", 100)
@@ -242,28 +261,28 @@ class TestSpanComposition:
             assert np.allclose(grads[offset : offset + ids.size], expected, atol=1e-12)
             offset += ids.size
 
+    @pytest.mark.parametrize("kind", ["add", "bi"])
+    def test_long_batch_matches_sequential_sums(self, kind):
+        # about 1M positions of non-negative values, so no cancellation
+        # hides a sum whose error grows with the batch; every span is held
+        # to the oracle's sequential sum
+        rng = np.random.default_rng(9)
+        lengths = rng.integers(15, 36, size=40_000)
+        ends = lengths.cumsum()
+        matrix = rng.random((int(ends[-1]), 2))
+        batch = SpanComposition(kind, matrix, SpanSet(np.arange(ends[-1]), lengths))
+        expected = np.array(
+            [oracle.compose(kind, matrix[end - n : end]) for n, end in zip(lengths, ends)]
+        )
+        worst = float((np.abs(batch.values - expected) / expected).max())
+        assert worst <= 1e-13
+
     def test_bi_single_token_span_is_zero(self):
         batch = SpanComposition("bi", np.ones((4, 2)), spans([1], [2, 3, 1]))
         assert np.allclose(batch.values[0], 0.0)
         grads = batch.position_grads(np.ones((2, 2)), slice(0, 2))
         assert grads.shape == (2, 4)
         assert np.allclose(grads[:, 0], 0.0)
-
-
-class TestSentenceVector:
-    def test_add(self):
-        table = init_table(5, 3, 0.2, seed=7)
-        v = sentence_vector(table, np.array([1, 3]), "add")
-        assert np.allclose(v, table.matrix[1] + table.matrix[3])
-
-    def test_bi_length_one_is_zero(self):
-        table = init_table(5, 3, 0.2, seed=7)
-        assert np.allclose(sentence_vector(table, np.array([2]), "bi"), 0.0)
-
-    def test_empty_errors(self):
-        table = init_table(5, 3, 0.2, seed=7)
-        with pytest.raises(CompositionError):
-            sentence_vector(table, np.array([], dtype=int), "add")
 
 
 class TestTablePair:

@@ -96,46 +96,47 @@ class TestPerceptron:
         assert [model.classes[i] for i in predicted] == ["pos", "neg"]
 
 
+def doc_of(*sentences):
+    return LabeledDocument("d", "x", [np.array(s) for s in sentences], "en")
+
+
 class TestRepresentDocument:
     def _table(self):
         return init_table(10, 4, 0.5, seed=5, language_tag="en")
 
     def test_single_sentence_add_is_sentence_vector(self):
         table = self._table()
-        doc = LabeledDocument("d", "x", [np.array([1, 2, 3])], "en")
-        vec = represent_document(doc, table, "add")
-        assert np.allclose(vec, table.matrix[[1, 2, 3]].sum(axis=0))
+        vecs = represent_document([doc_of([1, 2, 3]), doc_of([4], [5, 6])], table, "add")
+        assert vecs.shape == (2, 4)
+        assert np.allclose(vecs[0], table.matrix[[1, 2, 3]].sum(axis=0))
 
     def test_by_token_count_is_mean_word_vector(self):
         table = self._table()
-        doc = LabeledDocument("d", "x", [np.array([1, 2]), np.array([3])], "en")
-        vec = represent_document(doc, table, "add", "by_token_count")
-        assert np.allclose(vec, table.matrix[[1, 2, 3]].mean(axis=0))
+        docs = [doc_of([1, 2], [3]), doc_of([4, 5, 6, 7, 8])]
+        vecs = represent_document(docs, table, "add", "by_token_count")
+        assert np.allclose(vecs[0], table.matrix[[1, 2, 3]].mean(axis=0))
+        assert np.allclose(vecs[1], table.matrix[[4, 5, 6, 7, 8]].mean(axis=0))
 
     def test_unit_l2(self):
-        table = self._table()
-        doc = LabeledDocument("d", "x", [np.array([1, 2])], "en")
-        vec = represent_document(doc, table, "add", "unit_l2")
-        assert np.linalg.norm(vec) == pytest.approx(1.0)
+        table = EmbeddingTable(np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]]), "en")
+        vecs = represent_document([doc_of([1, 2]), doc_of([0]), doc_of([1])], table, "add", "unit_l2")
+        assert np.linalg.norm(vecs[0]) == pytest.approx(1.0)
+        assert vecs[1].tolist() == [0.0, 0.0]  # zero stays zero
+        assert vecs[2] == pytest.approx([0.6, 0.8])
 
     def test_add_invariant_to_sentence_order(self):
-        table = self._table()
-        s1, s2 = np.array([1, 2, 3]), np.array([4, 5])
-        a = represent_document(LabeledDocument("d", "x", [s1, s2], "en"), table, "add")
-        b = represent_document(LabeledDocument("d", "x", [s2, s1], "en"), table, "add")
+        s1, s2 = [1, 2, 3], [4, 5]
+        a, b = represent_document([doc_of(s1, s2), doc_of(s2, s1)], self._table(), "add")
         assert np.allclose(a, b)
 
     def test_bi_sensitive_to_sentence_order(self):
-        table = self._table()
-        s1, s2, s3 = np.array([1, 2, 3]), np.array([4, 5]), np.array([6, 7])
-        a = represent_document(LabeledDocument("d", "x", [s1, s2, s3], "en"), table, "bi")
-        b = represent_document(LabeledDocument("d", "x", [s2, s1, s3], "en"), table, "bi")
+        s1, s2, s3 = [1, 2, 3], [4, 5], [6, 7]
+        a, b = represent_document([doc_of(s1, s2, s3), doc_of(s2, s1, s3)], self._table(), "bi")
         assert not np.allclose(a, b)
 
     def test_unknown_norm_mode_rejected(self):
-        doc = LabeledDocument("d", "x", [np.array([1])], "en")
         with pytest.raises(DataError):
-            represent_document(doc, self._table(), "add", "zscore")
+            represent_document([doc_of([1])], self._table(), "add", "zscore")
 
 
 def make_separable_eval_data(seed=0, n=40):
@@ -176,6 +177,11 @@ class TestCrosslingualEval:
         test = [LabeledDocument(d.doc_id, "other", d.sentences, d.language_tag) for d in test]
         with pytest.raises(DataError):
             crosslingual_eval(train, test, tables)
+
+    def test_mixed_language_set_rejected(self):
+        train, test, tables = make_separable_eval_data()
+        with pytest.raises(DataError, match="mixes languages"):
+            crosslingual_eval(train[:20] + test[20:], test, tables)
 
     def test_train_size_subsampling_is_seeded(self):
         train, test, tables = make_separable_eval_data(n=60)

@@ -405,16 +405,17 @@ class TestBatchBits:
         assert digests[0] == digests[1]
 
     def test_golden_add_batch(self, synth_batch):
-        # the loss and coalesced gradient bits of the row-major batch path
-        # this one replaced; Add only, since tanh's last bit depends on the
-        # platform's math library
+        # the loss and coalesced gradient bits of the batch path with span
+        # sums by np.add.reduceat, re-derived once that path matched the
+        # oracle's sequential sums (TestSpanComposition); Add only, since
+        # tanh's last bit depends on the platform's math library
         batch, tables = synth_batch
         breakdown, coalesced = batch_loss_and_grad(
             batch.pairs, batch.mono_l1, batch.mono_l2, tables, "add", 40.0, 1.0
         )
         assert breakdown.total == 35218.28197828421
         assert batch_digest(breakdown, coalesced) == (
-            "93653e5f6403e0260a86ce0c688c8b8974416e798af26fb79aa0ba38c143a9e4"
+            "be8db26dc67b65ee7355400f2cc3ecc1bdc76478b73829f041c56bf3cd0a91f0"
         )
 
 
