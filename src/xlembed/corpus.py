@@ -238,14 +238,20 @@ class EncodedCorpus:
 
     def __init__(self, sentences, language_tag: str = ""):
         arrays = [np.asarray(ids, dtype=np.int32) for ids in sentences]
-        self.language_tag = language_tag
-        self.lengths = np.array([a.size for a in arrays], dtype=np.int64)
-        self.offsets = np.concatenate([[0], np.cumsum(self.lengths)])
-        self.flat = (
-            np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int32)
-        )
+        flat = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int32)
+        self._set(flat, np.array([a.size for a in arrays], dtype=np.int64), language_tag)
+
+    def _set(self, flat, lengths, language_tag: str) -> "EncodedCorpus":
+        """Every construction ends here: int32 ids end to end, int64 lengths."""
+        self.language_tag, self.flat, self.lengths = language_tag, flat, lengths
+        self.offsets = np.concatenate([[0], np.cumsum(lengths)])
         # only sentences long enough to host a phrase are sampled monolingually
-        self.eligible = np.flatnonzero(self.lengths >= MIN_SPAN_LEN)
+        self.eligible = np.flatnonzero(lengths >= MIN_SPAN_LEN)
+        return self
+
+    @classmethod
+    def _from_flat(cls, flat, lengths, language_tag: str) -> "EncodedCorpus":
+        return cls.__new__(cls)._set(flat, lengths, language_tag)
 
     def __len__(self) -> int:
         return int(self.lengths.size)
@@ -273,12 +279,11 @@ class EncodedCorpus:
     def concat(self, other: "EncodedCorpus") -> "EncodedCorpus":
         if other.language_tag != self.language_tag:
             raise DataError("cannot concatenate corpora of different languages")
-        out = EncodedCorpus([], self.language_tag)
-        out.lengths = np.concatenate([self.lengths, other.lengths])
-        out.offsets = np.concatenate([[0], np.cumsum(out.lengths)])
-        out.flat = np.concatenate([self.flat, other.flat])
-        out.eligible = np.flatnonzero(out.lengths >= MIN_SPAN_LEN)
-        return out
+        return self._from_flat(
+            np.concatenate([self.flat, other.flat]),
+            np.concatenate([self.lengths, other.lengths]),
+            self.language_tag,
+        )
 
     def save_ids(self, path) -> None:
         """One sentence per line, ids space-separated."""
@@ -322,11 +327,12 @@ class ParallelCorpus:
 
     def limited(self, n: int) -> "ParallelCorpus":
         """First n pairs (corpus-size cap for the bilingual conditions)."""
-        keep = min(n, len(self))
-        return ParallelCorpus(
-            EncodedCorpus([self.l1.sentence_ids(i) for i in range(keep)], self.l1.language_tag),
-            EncodedCorpus([self.l2.sentence_ids(i) for i in range(keep)], self.l2.language_tag),
+        keep = min(max(n, 0), len(self))
+        l1, l2 = (
+            c._from_flat(c.flat[: c.offsets[keep]].copy(), c.lengths[:keep].copy(), c.language_tag)
+            for c in (self.l1, self.l2)
         )
+        return ParallelCorpus(l1, l2)
 
 
 # ---------------------------------------------------------------------------

@@ -108,9 +108,7 @@ def perceptron_train(train_docs, vectors, epochs: int = 10, seed: int = 0) -> Pe
     vectors = np.asarray(vectors, dtype=np.float64)
     if len(docs) != vectors.shape[0]:
         raise DataError("document and vector counts differ")
-    classes = sorted({d.label for d in docs})
-    if len(classes) < 2:
-        raise DataError("training data contains fewer than two classes")
+    classes = sorted({d.label for d in docs})  # PerceptronModel rejects fewer than two
     index = {c: i for i, c in enumerate(classes)}
     y = np.array([index[d.label] for d in docs], dtype=np.int64)
     model = PerceptronModel(classes, vectors.shape[1])
@@ -252,9 +250,12 @@ def nearest_neighbors(
             scores = np.where(denom > 0, (m @ q) / denom, 0.0)
     else:
         scores = -np.linalg.norm(m - q, axis=1)
-    candidates = [
-        (dst_vocab.token_for(i), float(scores[i])) for i in range(1, len(dst_vocab))
-    ]
+    scores = scores[1 : len(dst_vocab)]  # row 0 is UNK
+    k = min(k, scores.size)
+    # sort only the rows scoring at least the k-th best score, all ties included
+    cut = np.partition(scores, scores.size - k)[scores.size - k] if k else np.inf
+    rows = np.flatnonzero(scores >= cut)
+    candidates = [(dst_vocab.token_for(i + 1), float(scores[i])) for i in rows]
     candidates.sort(key=lambda ts: (-ts[1], ts[0]))
     return candidates[:k]
 

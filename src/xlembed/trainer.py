@@ -106,12 +106,7 @@ class AdaGradState:
 
     @classmethod
     def zeros(cls, tables: TablePair) -> "AdaGradState":
-        return cls(
-            {
-                t.language_tag: np.zeros_like(t.matrix)
-                for t in (tables.l1, tables.l2)
-            }
-        )
+        return cls({t.language_tag: np.zeros_like(t.matrix) for t in (tables.l1, tables.l2)})
 
 
 def apply_sparse_update(
@@ -333,8 +328,6 @@ def train(
     for frac, size, name in zip(mix, sizes, ("bilingual", "mono_l1", "mono_l2")):
         if frac > 0 and size == 0:
             raise ConfigError(f"mix places weight on absent corpus {name}")
-    if sum(mix) == 0:
-        raise ConfigError("mix fractions are all zero")
 
     if resume_from is not None:
         tables, state, saved_config, start_epoch, rng = load_checkpoint(resume_from)
@@ -357,27 +350,22 @@ def train(
         epochs = config.epochs
     else:
         epochs = config.epochs_with_mono if data.has_mono() else config.epochs_bi_only
-    largest = max(sizes)
-    steps_per_epoch = max(1, round(largest / config.batch_size))
+    if start_epoch > epochs:
+        raise ConfigError(f"checkpoint epoch {start_epoch} is past the target of {epochs} epochs")
+    steps_per_epoch = max(1, round(max(sizes) / config.batch_size))
 
+    # the checkpoint only ever holds an epoch boundary, under its true epoch:
+    # a failure or interrupt saves nothing, and saves are atomic
     result = TrainResult(tables, state, config)
-    try:
-        for epoch in range(start_epoch + 1, epochs + 1):
-            for step in range(1, steps_per_epoch + 1):
-                batch = make_batch(data, config, mix, rng)
-                breakdown = train_step(batch, tables, state, config)
-                result.history.append((epoch, step, breakdown))
-                if log_fn is not None:
-                    log_fn(log_line(epoch, step, breakdown))
-            if checkpoint_path and checkpoint_every and epoch % checkpoint_every == 0:
-                save_checkpoint(checkpoint_path, tables, state, config, epoch, rng)
-    except (TrainingError, OSError):
-        if checkpoint_path:
-            try:
-                save_checkpoint(checkpoint_path, tables, state, config, epoch - 1, rng)
-            except OSError:
-                pass  # the original failure is the one worth reporting
-        raise
+    for epoch in range(start_epoch + 1, epochs + 1):
+        for step in range(1, steps_per_epoch + 1):
+            batch = make_batch(data, config, mix, rng)
+            breakdown = train_step(batch, tables, state, config)
+            result.history.append((epoch, step, breakdown))
+            if log_fn is not None:
+                log_fn(log_line(epoch, step, breakdown))
+        if checkpoint_path and checkpoint_every and epoch % checkpoint_every == 0:
+            save_checkpoint(checkpoint_path, tables, state, config, epoch, rng)
     if checkpoint_path:
         save_checkpoint(checkpoint_path, tables, state, config, epochs, rng)
     return result

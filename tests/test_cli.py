@@ -220,16 +220,27 @@ class TestTrainCommand:
         code = main(train_args(prepared, outdir, "--mono-use-parallel"))
         assert code == 0
 
-    def test_numeric_divergence_exits_three_with_checkpoint(self, prepared, tmp_path, capsys):
+    def test_numeric_divergence_exits_three_and_writes_nothing(self, prepared, tmp_path, capsys):
         outdir = tmp_path / "model"
         code = main(train_args(prepared, outdir, "--learning-rate", "1e200"))
         assert code == 3
         assert "numeric" in capsys.readouterr().err
-        assert (outdir / "checkpoint.npz").exists()  # flushed on abort
-        # the failed step wrote nothing, so the flushed state is usable
-        tables, state, _, _, _ = load_checkpoint(outdir / "checkpoint.npz")
-        for array in (tables.l1.matrix, tables.l2.matrix, *state.g_by_tag.values()):
-            assert np.isfinite(array).all()
+        # no epoch boundary was reached, so there is no checkpoint to keep
+        assert not (outdir / "checkpoint.npz").exists()
+        assert not list(outdir.glob("*.tmp")) and not list(outdir.glob("*.vec"))
+
+    def test_resume_past_target_is_usage_error(self, prepared, tmp_path, capsys):
+        outdir = tmp_path / "model"
+        assert main(train_args(prepared, outdir, "--epochs", "3")) == 0
+        ck = outdir / "checkpoint.npz"
+        before = ck.read_bytes()
+        capsys.readouterr()
+        code = main(train_args(prepared, outdir, "--resume-from", str(ck)))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "checkpoint epoch 3 is past the target of 2 epochs" in err
+        assert ck.read_bytes() == before
 
     def test_checkpoint_with_unknown_config_key_is_data_error(self, prepared, tmp_path, capsys):
         outdir = tmp_path / "model"

@@ -239,5 +239,28 @@ class TestEncodedCorpus:
         assert len(par) == 2
         assert par.l1.sentence_ids(1).tolist() == [1, 1, 1]
 
+    SENTENCES = [[4, 1, 2, 3], [], [5], [6, 6], [1, 2, 3], [7, 8, 9, 1, 2], [3, 3, 3]]
+
+    @staticmethod
+    def assert_same_layout(got, expected):
+        for name in ("flat", "lengths", "offsets", "eligible"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+        assert got.language_tag == expected.language_tag
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 7, 10])
+    def test_limited_matches_sentence_construction(self, n):
+        sides = [[np.array(s, dtype=np.int32) for s in self.SENTENCES] for _ in range(2)]
+        par = ParallelCorpus(EncodedCorpus(sides[0], "en"), EncodedCorpus(sides[1][::-1], "de"))
+        limited = par.limited(n)
+        self.assert_same_layout(limited.l1, EncodedCorpus(sides[0][:n], "en"))
+        self.assert_same_layout(limited.l2, EncodedCorpus(sides[1][::-1][:n], "de"))
+
+    @pytest.mark.parametrize("split", [0, 2, 7])
+    def test_concat_matches_sentence_construction(self, split):
+        first, second = self.SENTENCES[:split], self.SENTENCES[split:]
+        joined = EncodedCorpus(first, "en").concat(EncodedCorpus(second, "en"))
+        self.assert_same_layout(joined, EncodedCorpus(self.SENTENCES, "en"))
+
     def test_iter_tokens_lowercase(self):
         assert list(iter_tokens(["A b", "C"], lowercase=True)) == ["a", "b", "c"]

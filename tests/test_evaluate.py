@@ -245,6 +245,33 @@ class TestNearestNeighbors:
         with pytest.raises(OovError, match="unk"):
             nearest_neighbors("missing", vocab, table, vocab, table)
 
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("k", [1, 3, 10, 17, 59, 80])
+    def test_ties_across_k_match_full_sort(self, metric, k):
+        # small integer vectors repeat, so many scores tie exactly; the
+        # tokens are shuffled against the ids, so only the sort orders ties
+        rng = np.random.default_rng(11)
+        vecs = rng.integers(-1, 2, size=(60, 3)).astype(float)
+        vecs[[7, 30]] = 0.0  # zero rows score cosine 0
+        tokens = [f"w{p}" for p in rng.permutation(59)]
+        vocab = Vocabulary(tokens, [1] * 59, 0, "t")
+        table = EmbeddingTable(vecs, "t")
+        query = tokens[2]
+        q = vecs[vocab.id_for(query)]
+        scored = []
+        for i in range(1, len(vocab)):  # the full-sort reference
+            if metric == "cosine":
+                denom = np.linalg.norm(vecs[i]) * np.linalg.norm(q)
+                score = float(vecs[i] @ q / denom) if denom > 0 else 0.0
+            else:
+                score = -float(np.linalg.norm(vecs[i] - q))
+            scored.append((vocab.token_for(i), score))
+        scored.sort(key=lambda ts: (-ts[1], ts[0]))
+        out = nearest_neighbors(query, vocab, table, vocab, table, k=k, metric=metric)
+        assert out == scored[:k]
+        if k < 59:  # the k-th score ties with a row left out
+            assert scored[k - 1][1] == scored[k][1]
+
     def test_crosslingual_tables(self):
         src_vocab, src_table = self._vocab_table([[0, 0], [1.0, 0.0]], "en")
         dst_vocab, dst_table = self._vocab_table([[0, 0], [0.0, 1.0], [1.0, 0.1]], "de")

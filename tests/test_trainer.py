@@ -1,16 +1,19 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import oracle
 import pytest
 from conftest import spans
 
+from xlembed import trainer
 from xlembed.corpus import (
     EncodedCorpus,
     PairBatch,
     ParallelCorpus,
     TripleBatch,
     Vocabulary,
+    atomic_write,
     sample_bilingual_pairs,
 )
 from xlembed.embeddings import EmbeddingTable, TablePair, init_table
@@ -382,6 +385,110 @@ class TestCheckpoint:
         other = TrainConfig(dim=4, epochs=2, batch_size=16)
         with pytest.raises(ConfigError):
             train(small_data(), other, resume_from=path)
+
+
+def checkpoint_members(path) -> dict[str, np.ndarray]:
+    with np.load(path) as z:
+        return {name: z[name] for name in z.files}
+
+
+class TestFailureKeepsBoundaryCheckpoint:
+    """After a failure or an interrupt, checkpoint.npz holds the last epoch
+    boundary under its true epoch, and resuming from it replays the
+    uninterrupted run bit for bit."""
+
+    CONFIG = TrainConfig(dim=4, epochs=6, batch_size=32, seed=9)  # 2 steps per epoch
+
+    @pytest.fixture
+    def uninterrupted(self, tmp_path, monkeypatch):
+        """The 6-epoch run with checkpoint_every=1, and each checkpoint it
+        wrote, by epoch."""
+        saved = {}
+        save = trainer.save_checkpoint
+
+        def keep_copy(path, tables, state, config, epoch, rng):
+            save(path, tables, state, config, epoch, rng)
+            saved[epoch] = checkpoint_members(path)
+
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "save_checkpoint", keep_copy)
+            result = train(small_data(), self.CONFIG, checkpoint_path=tmp_path / "full.npz",
+                           checkpoint_every=1)
+        return result, saved
+
+    @staticmethod
+    def fail_at_epoch_3(kind, monkeypatch):
+        """Run arguments and patches that make the run fail in epoch 3."""
+        if kind == "training_error":  # the failing step is epoch 3, step 2
+            calls = []
+            step = trainer.train_step
+
+            def failing_step(*args):
+                calls.append(1)
+                if len(calls) == 6:
+                    raise TrainingError("injected divergence")
+                return step(*args)
+
+            monkeypatch.setattr(trainer, "train_step", failing_step)
+            return {}
+        if kind == "interrupt":  # after epoch 3, step 1 has updated the tables
+            def log_fn(line):
+                if line.startswith("3 1 "):
+                    raise KeyboardInterrupt
+            return {"log_fn": log_fn}
+        save = trainer.save_checkpoint
+
+        def failing_save(path, tables, state, config, epoch, rng):
+            if epoch == 3:  # the disk fills half way through the write
+                with atomic_write(path, "wb") as f:
+                    f.write(b"PK\x03\x04")
+                    raise OSError(28, "No space left on device")
+            save(path, tables, state, config, epoch, rng)
+
+        monkeypatch.setattr(trainer, "save_checkpoint", failing_save)
+        return {}
+
+    @pytest.mark.parametrize("kind", ["training_error", "interrupt", "save_oserror"])
+    def test_resume_after_failure_replays_run(self, tmp_path, monkeypatch, uninterrupted, kind):
+        full, saved = uninterrupted
+        path = tmp_path / "checkpoint.npz"
+        with monkeypatch.context() as m:
+            kwargs = self.fail_at_epoch_3(kind, m)
+            with pytest.raises((TrainingError, KeyboardInterrupt, OSError)):
+                train(small_data(), self.CONFIG, checkpoint_path=path, checkpoint_every=1,
+                      **kwargs)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz", "full.npz"]
+        left = checkpoint_members(path)
+        assert left.keys() == saved[2].keys()
+        for name, array in saved[2].items():
+            assert np.array_equal(left[name], array), name
+
+        resumed = train(small_data(), self.CONFIG, checkpoint_path=path, checkpoint_every=1,
+                        resume_from=path)
+        assert (resumed.tables.l1.matrix == full.tables.l1.matrix).all()
+        assert (resumed.tables.l2.matrix == full.tables.l2.matrix).all()
+        assert resumed.history == [h for h in full.history if h[0] >= 3]
+        assert load_checkpoint(path)[3] == 6
+
+    def test_resume_past_target_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "checkpoint.npz"
+        train(small_data(), self.CONFIG, checkpoint_path=path)
+        before = path.read_bytes()
+        with pytest.raises(ConfigError, match="past the target"):
+            train(small_data(), replace(self.CONFIG, epochs=4), checkpoint_path=path,
+                  resume_from=path)
+        assert path.read_bytes() == before
+
+    def test_resume_at_target_runs_no_step(self, tmp_path):
+        path = tmp_path / "checkpoint.npz"
+        full = train(small_data(), self.CONFIG, checkpoint_path=path)
+        before = checkpoint_members(path)
+        again = train(small_data(), self.CONFIG, checkpoint_path=path, resume_from=path)
+        assert again.history == []
+        assert (again.tables.l1.matrix == full.tables.l1.matrix).all()
+        after = checkpoint_members(path)
+        for name, array in before.items():
+            assert np.array_equal(after[name], array), name
 
 
 class TestConfigFile:
