@@ -277,7 +277,6 @@ def run_preprocess(args) -> int:
         raise ConfigError("l1 and l2 tags must differ")
     lowercase = cfg["lowercase"]
     min_len = cfg["min_sentence_len"]
-    os.makedirs(args.outdir, exist_ok=True)
 
     pairs = corp.read_parallel(args.parallel_l1, args.parallel_l2)
     kept = corp.filter_parallel(
@@ -302,6 +301,7 @@ def run_preprocess(args) -> int:
         f"{'#tokens':>10} {'|V|':>8}"
     )
     print(header)
+    os.makedirs(args.outdir, exist_ok=True)
     for tag in (tag_l1, tag_l2):
         bi_vocab = corp.build_vocabulary(
             corp.iter_tokens(bi_lines[tag], lowercase), bi_thresholds[tag], tag
@@ -390,16 +390,20 @@ def run_train(args) -> int:
     settings = _merge_settings(args)
     config = TrainConfig(**{f.name: settings[f.name] for f in fields(TrainConfig)})
     config.validate()
-    if args.resume_from is not None:
-        _require_files(args.resume_from)
+    if settings["bilingual_limit"] is not None and settings["bilingual_limit"] < 0:
+        raise ConfigError(f"bilingual_limit must be >= 0, got {settings['bilingual_limit']}")
+    _require_files(args.resume_from)
     data = _load_training_data(args.data_dir, settings)
     os.makedirs(args.outdir, exist_ok=True)
 
-    log_handle = open(args.log_file, "w", encoding="utf-8") if args.log_file else None
+    log_handle = None  # opened at the first loss line: a refused run keeps an earlier log
 
     def log_fn(line):
+        nonlocal log_handle
         print(line)
-        if log_handle:
+        if args.log_file:
+            if log_handle is None:
+                log_handle = open(args.log_file, "w", encoding="utf-8")
             log_handle.write(line + "\n")
 
     try:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +68,20 @@ def filter_parallel(pairs, cutoff_l1: float, cutoff_l2: float, min_len: int = 3)
     ]
 
 
+def numbered_lines(path, error=DataError):
+    """(line number from 1, line without its newline) for every line of the
+    UTF-8 text file ``path``, newlines read as in text mode. A byte sequence
+    that is not UTF-8 raises ``error`` naming ``path:line``."""
+    # undecodable bytes read as lone surrogates U+DC80..U+DCFF, which UTF-8 text never holds
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.isascii() and re.search("[\udc80-\udcff]", line):
+                raise error(f"{path}:{lineno}: not UTF-8 text")
+            yield lineno, line.rstrip("\n")
+
+
 def read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n") for line in f]
+    return [line for _, line in numbered_lines(path)]
 
 
 @contextlib.contextmanager
@@ -130,6 +143,11 @@ class Vocabulary:
     def token_for(self, word_id: int) -> str:
         return self.id_to_token[word_id]
 
+    @functools.cached_property
+    def lowercased(self) -> bool:
+        """Every token equals its lowercase: evaluation text is lowercased before lookup."""
+        return all(token == token.lower() for token in self.id_to_token)
+
     def save(self, path) -> None:
         """One ``token<TAB>count`` line per id; line 0 is always ``<unk>``."""
         with atomic_write(path) as f:
@@ -139,19 +157,15 @@ class Vocabulary:
     @classmethod
     def load(cls, path, language_tag: str = "") -> "Vocabulary":
         tokens, counts = [], []
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    token, count = line.split("\t")
-                    counts.append(int(count))
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno + 1}: expected 'token<TAB>count' with an integer count"
-                    )
-                tokens.append(token)
+        for lineno, line in numbered_lines(path):
+            if not line:
+                continue
+            try:
+                token, count = line.split("\t")
+                counts.append(int(count))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: expected 'token<TAB>count' with an integer count")
+            tokens.append(token)
         if not tokens or tokens[0] != UNK_TOKEN:
             raise DataError(f"{path}: line 0 must be the UNK token {UNK_TOKEN!r}")
         return cls(tokens[1:], counts[1:], unk_count=counts[0], language_tag=language_tag)
@@ -295,17 +309,15 @@ class EncodedCorpus:
     @classmethod
     def load_ids(cls, path, language_tag: str = "") -> "EncodedCorpus":
         arrays = []
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f):
-                line = line.strip()
-                if not line:
-                    raise DataError(f"{path}:{lineno + 1}: empty sentence line")
-                try:
-                    arrays.append(np.array([int(t) for t in line.split()], dtype=np.int32))
-                except ValueError:
-                    raise DataError(f"{path}:{lineno + 1}: non-integer token id")
-                except OverflowError:
-                    raise DataError(f"{path}:{lineno + 1}: token id outside the int32 range")
+        for lineno, line in numbered_lines(path):
+            if not line.strip():
+                raise DataError(f"{path}:{lineno}: empty sentence line")
+            try:
+                arrays.append(np.array([int(t) for t in line.split()], dtype=np.int32))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-integer token id")
+            except OverflowError:
+                raise DataError(f"{path}:{lineno}: token id outside the int32 range")
         return cls(arrays, language_tag=language_tag)
 
 

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import SpanSet, atomic_write
+from .corpus import SpanSet, atomic_write, numbered_lines
 from .errors import CompositionError, DataError
 
 
@@ -42,12 +42,13 @@ class CompositionKind(Enum):
 class EmbeddingTable:
     """Dense vocab-size by dim matrix of word vectors for one language.
 
-    Reads may be shared freely; writes go through the trainer's update path
-    only (single writer per row).
+    It keeps the layout it is given, and so do its copies; only
+    :func:`xlembed.trainer.train` fixes one (column-major), and every reader
+    is correct on any. Writes go through the trainer's update path only.
     """
 
     def __init__(self, matrix: np.ndarray, language_tag: str = ""):
-        self.matrix = np.ascontiguousarray(matrix)
+        self.matrix = matrix
         self.language_tag = language_tag
 
     @property
@@ -58,7 +59,7 @@ class EmbeddingTable:
         return int(self.matrix.shape[0])
 
     def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.matrix.copy(), self.language_tag)
+        return EmbeddingTable(self.matrix.copy(order="K"), self.language_tag)
 
 
 def init_table(
@@ -67,7 +68,6 @@ def init_table(
     sigma: float = 0.1,
     seed=0,
     language_tag: str = "",
-    dtype=np.float64,
 ) -> EmbeddingTable:
     """Gaussian-initialized table, entries iid Normal(0, sigma^2).
 
@@ -79,8 +79,7 @@ def init_table(
     if sigma <= 0:
         raise DataError(f"sigma must be positive, got {sigma}")
     rng = np.random.default_rng(seed)
-    matrix = rng.normal(0.0, sigma, size=(vocab_size, dim))
-    return EmbeddingTable(matrix.astype(dtype, copy=False), language_tag)
+    return EmbeddingTable(rng.normal(0.0, sigma, size=(vocab_size, dim)), language_tag)
 
 
 class TablePair:
@@ -186,9 +185,10 @@ class SpanComposition:
     per-span upstream gradient down to per-position gradients.
 
     The work is dimension-major: each block of columns (:func:`column_blocks`)
-    gathers its columns for every position from ``matrix.T``, which is
-    contiguous when ``matrix`` is column-major (``np.asfortranarray``); the
-    blocks run through :func:`run_blocks`. ``values`` is C-ordered
+    gathers its columns for every position from ``matrix.T``; the blocks run
+    through :func:`run_blocks`. ``matrix`` is read in place, on any layout,
+    with the same results; the gathers read contiguous memory when it is
+    column-major, as the trainer's tables are. ``values`` is C-ordered
     (n_spans, d). Nothing per position outlives a block: the Bi backward
     gathers its block again from the kept view ``matrix.T``.
     """
@@ -272,7 +272,6 @@ def compose_documents(documents, matrix: np.ndarray, kind) -> np.ndarray:
 
 
 def save_embeddings_text(path, tokens, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix)
     if len(tokens) != matrix.shape[0]:
         raise DataError(
             f"token count {len(tokens)} does not match matrix rows {matrix.shape[0]}"
@@ -287,25 +286,24 @@ def save_embeddings_text(path, tokens, matrix: np.ndarray) -> None:
 
 
 def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
-    with open(path, encoding="utf-8") as f:
+    lines = numbered_lines(path)
+    try:
+        n, dim = (int(x) for x in next(lines, (1, ""))[1].split())
+        matrix = np.empty((n, dim), dtype=np.float64)
+    except ValueError:
+        raise DataError(f"{path}:1: malformed header, expected '<vocab_size> <dim>'")
+    tokens = []
+    for i, (lineno, line) in zip(range(n), lines):
+        parts = line.split()
+        if len(parts) != dim + 1:
+            raise DataError(f"{path}: row {i} has {len(parts) - 1} values, expected {dim}")
+        tokens.append(parts[0])
         try:
-            n, dim = (int(x) for x in f.readline().split())
-            matrix = np.empty((n, dim), dtype=np.float64)
+            matrix[i] = [float(x) for x in parts[1:]]
         except ValueError:
-            raise DataError(f"{path}:1: malformed header, expected '<vocab_size> <dim>'")
-        tokens = []
-        for i in range(n):
-            line = f.readline()
-            if not line:
-                raise DataError(f"{path}: header promises {n} rows, the file holds {i}")
-            parts = line.split()
-            if len(parts) != dim + 1:
-                raise DataError(f"{path}: row {i} has {len(parts) - 1} values, expected {dim}")
-            tokens.append(parts[0])
-            try:
-                matrix[i] = [float(x) for x in parts[1:]]
-            except ValueError:
-                raise DataError(f"{path}:{i + 2}: non-numeric value in row {i}")
+            raise DataError(f"{path}:{lineno}: non-numeric value in row {i}")
+    if len(tokens) < n:
+        raise DataError(f"{path}: header promises {n} rows, the file holds {len(tokens)}")
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise DataError(f"{path}:{bad[0] + 2}: non-finite value in row {bad[0]}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Vocabulary, encode
+from .corpus import Vocabulary, atomic_write, encode, numbered_lines
 from .embeddings import EmbeddingTable, TablePair, compose_documents
 from .errors import DataError, OovError
 
@@ -41,7 +41,6 @@ def represent_document(docs, table: EmbeddingTable, kind, norm_mode: str = "none
     if norm_mode not in NORM_MODES:
         raise DataError(f"unknown norm mode {norm_mode!r}, expected one of {NORM_MODES}")
     vecs = compose_documents([d.sentences for d in docs], table.matrix, kind)
-    vecs = np.asarray(vecs, dtype=np.float64)
     if norm_mode == "by_token_count":
         return vecs / np.array([[sum(map(len, d.sentences))] for d in docs])
     if norm_mode == "unit_l2":
@@ -226,20 +225,21 @@ def nearest_neighbors(
     The destination may equal the source for monolingual queries. The UNK
     row is never reported. For the euclidean metric the score is the negated
     distance so that scores are monotone non-increasing for both metrics.
-    Ties order lexicographically by token.
-    """
+    Ties order lexicographically by token. The query is looked up in the
+    source vocabulary's casing (:attr:`xlembed.corpus.Vocabulary.lowercased`)."""
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     if metric not in ("cosine", "euclidean"):
         raise DataError(f"unknown metric {metric!r}, expected cosine or euclidean")
-    if query_token not in src_vocab or src_vocab.id_for(query_token) == src_vocab.unk_id:
+    query_id = src_vocab.id_for(query_token.lower() if src_vocab.lowercased else query_token)
+    if query_id == src_vocab.unk_id:
         raise OovError(
             f"query {query_token!r} is not in the {src_vocab.language_tag or 'source'} "
             "vocabulary (tokens below the UNK threshold share the <unk> vector and "
             "cannot be queried individually)"
         )
-    q = src_table.matrix[src_vocab.id_for(query_token)].astype(np.float64)
-    m = dst_table.matrix.astype(np.float64, copy=False)
+    q = src_table.matrix[query_id]
+    m = dst_table.matrix
     if q.shape[0] != m.shape[1]:
         raise DataError("source and destination tables have different dims")
     if metric == "cosine":
@@ -268,26 +268,22 @@ def nearest_neighbors(
 def read_labeled_documents(path, language_tag: str = "") -> list[LabeledDocument]:
     """Parse documents with raw token sentences (not yet encoded)."""
     docs = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(
-                    f"{path}:{lineno}: expected 'label<TAB>doc_id<TAB>sentences'"
-                )
-            label, doc_id, body = parts
-            sentences = [s for s in body.split(US) if s.split()]
-            if not sentences:
-                raise DataError(f"{path}:{lineno}: document has no sentences")
-            docs.append(LabeledDocument(doc_id, label, sentences, language_tag))
+    for lineno, line in numbered_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 'label<TAB>doc_id<TAB>sentences'")
+        label, doc_id, body = parts
+        sentences = [s for s in body.split(US) if s.split()]
+        if not sentences:
+            raise DataError(f"{path}:{lineno}: document has no sentences")
+        docs.append(LabeledDocument(doc_id, label, sentences, language_tag))
     return docs
 
 
 def write_labeled_documents(path, docs) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for doc in docs:
             body = US.join(
                 s if isinstance(s, str) else " ".join(map(str, s)) for s in doc.sentences
@@ -295,10 +291,11 @@ def write_labeled_documents(path, docs) -> None:
             f.write(f"{doc.label}\t{doc.doc_id}\t{body}\n")
 
 
-def encode_documents(docs, vocab: Vocabulary, lowercase: bool = False) -> list[LabeledDocument]:
-    """Encode raw-token documents against a vocabulary (OOV tokens to UNK)."""
+def encode_documents(docs, vocab: Vocabulary) -> list[LabeledDocument]:
+    """Encode raw-token documents against a vocabulary, in its casing
+    (:attr:`xlembed.corpus.Vocabulary.lowercased`); OOV tokens map to UNK."""
     out = []
     for doc in docs:
-        sentences = [encode(s, vocab, lowercase) for s in doc.sentences]
+        sentences = [encode(s, vocab, vocab.lowercased) for s in doc.sentences]
         out.append(LabeledDocument(doc.doc_id, doc.label, sentences, vocab.language_tag))
     return out

@@ -8,12 +8,13 @@ scaling), and an L2 penalty applied stochastically to the rows touched by
 each mini-batch. Batch losses are plain sums over samples, not means.
 
 The batch path is dimension-major: compositions and the gradient
-accumulator work one block of embedding columns at a time over contiguous
-1-D data, and no per-position array outlives a block. The blocks of one
-call run side by side on one thread per usable core
-(:func:`xlembed.embeddings.run_blocks`); each writes only its own columns,
-so losses and gradients are bit-identical whatever the thread count, and
-there is nothing to tune.
+accumulator work one block of embedding columns at a time, and no
+per-position array outlives a block. It reads the tables in place, correct
+on any layout; :func:`xlembed.trainer.train` keeps them column-major, so
+each block reads contiguous memory. The blocks of one call run side by side
+on one thread per usable core (:func:`xlembed.embeddings.run_blocks`); each
+writes only its own columns, so losses and gradients are bit-identical
+whatever the thread count, and there is nothing to tune.
 """
 
 from __future__ import annotations
@@ -125,19 +126,19 @@ def _unique_inverse(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # batch loss and gradient
 
 
-def _pair_term(batch: PairBatch, columns, kind, acc) -> float:
-    c1 = SpanComposition(kind, columns[batch.tag_l1], batch.side_l1)
-    c2 = SpanComposition(kind, columns[batch.tag_l2], batch.side_l2)
+def _pair_term(batch: PairBatch, tables, kind, acc) -> float:
+    c1 = SpanComposition(kind, tables.by_tag(batch.tag_l1).matrix, batch.side_l1)
+    c2 = SpanComposition(kind, tables.by_tag(batch.tag_l2).matrix, batch.side_l2)
     diff = c1.values - c2.values
     acc.add(batch.tag_l1, batch.side_l1.ids, partial(c1.position_grads, 2.0 * diff))
     acc.add(batch.tag_l2, batch.side_l2.ids, partial(c2.position_grads, -2.0 * diff))
     return float((diff * diff).sum())
 
 
-def _triple_term(batch: TripleBatch, columns, kind, margin, acc) -> float:
+def _triple_term(batch: TripleBatch, tables, kind, margin, acc) -> float:
     """Sum of [max(0, margin + d_in - d_no) + d_in] * len_inner / len_outer
     over the triples; at the hinge kink the inactive branch is used."""
-    matrix = columns[batch.language_tag]
+    matrix = tables.by_tag(batch.language_tag).matrix
     co = SpanComposition(kind, matrix, batch.outer)
     ci = SpanComposition(kind, matrix, batch.inner)
     cn = SpanComposition(kind, matrix, batch.noise)
@@ -197,13 +198,9 @@ def batch_loss_and_grad(
     if triple_l2 is not None and triple_l2.language_tag != tag2:
         raise DataError(f"mono_samples_l2 carries tag {triple_l2.language_tag!r}, expected {tag2!r}")
 
-    # each table once per call in column-major order, so every column block
-    # of the composition reads contiguous memory
-    columns = {tag: np.asfortranarray(tables.by_tag(tag).matrix) for tag in (tag1, tag2)}
-    l_bi = _pair_term(pair_batch, columns, kind, acc) if pair_batch else 0.0
-    l_m1 = _triple_term(triple_l1, columns, kind, margin, acc) if triple_l1 else 0.0
-    l_m2 = _triple_term(triple_l2, columns, kind, margin, acc) if triple_l2 else 0.0
-    del columns  # Bi compositions keep theirs for the backward in coalesce
+    l_bi = _pair_term(pair_batch, tables, kind, acc) if pair_batch else 0.0
+    l_m1 = _triple_term(triple_l1, tables, kind, margin, acc) if triple_l1 else 0.0
+    l_m2 = _triple_term(triple_l2, tables, kind, margin, acc) if triple_l2 else 0.0
 
     # the coalesced ids are the touched set; regularizer rows are added
     # after the data sums, so every per-row sum keeps a fixed order
@@ -215,7 +212,7 @@ def batch_loss_and_grad(
         for tag in (tag1, tag2):
             if tag in grads:
                 ids, summed = grads[tag]
-                rows = tables.by_tag(tag).matrix[ids].astype(np.float64, copy=False)
+                rows = tables.by_tag(tag).matrix[ids]
                 reg += lam_eff * float((rows * rows).sum())
                 summed += 2.0 * lam_eff * rows
 

@@ -20,6 +20,7 @@ from .corpus import (
     ParallelCorpus,
     Vocabulary,
     atomic_write,
+    numbered_lines,
     sample_bilingual_pairs,
     sample_phrase_triples,
 )
@@ -64,24 +65,24 @@ class TrainConfig:
     def validate(self) -> None:
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.resolved_margin() < 0:
-            raise ConfigError(f"margin must be >= 0, got {self.margin}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
-        if self.adagrad_epsilon <= 0:
-            raise ConfigError(f"adagrad_epsilon must be positive, got {self.adagrad_epsilon}")
-        if self.init_sigma <= 0:
-            raise ConfigError(f"init_sigma must be positive, got {self.init_sigma}")
+        # every comparison with NaN is false: test finiteness first
+        for name, value, bound in (
+            ("learning_rate", self.learning_rate, "> 0"),
+            ("margin", self.resolved_margin(), ">= 0"),
+            ("lambda", self.lam, ">= 0"),
+            ("adagrad_epsilon", self.adagrad_epsilon, "> 0"),
+            ("init_sigma", self.init_sigma, "> 0"),
+        ):
+            if not (np.isfinite(value) and (value > 0 or value == 0 and bound == ">= 0")):
+                raise ConfigError(f"{name} must be finite and {bound}, got {value}")
         for name in ("epochs_bi_only", "epochs_with_mono"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.mix is not None:
-            if len(self.mix) != 3 or any(f < 0 for f in self.mix):
-                raise ConfigError(f"mix must be three fractions >= 0, got {self.mix}")
+            if len(self.mix) != 3 or not all(np.isfinite(f) and f >= 0 for f in self.mix):
+                raise ConfigError(f"mix must be three finite fractions >= 0, got {self.mix}")
             if abs(sum(self.mix) - 1.0) > 1e-9:
                 raise ConfigError(f"mix fractions must sum to 1, got {self.mix}")
         try:
@@ -125,7 +126,6 @@ def apply_sparse_update(
         raise TrainingError(
             f"non-finite gradient for {table.language_tag!r} rows {bad[:8].tolist()}"
         )
-    grads = grads.astype(table.matrix.dtype, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
         g_rows = g_matrix[ids]
         g_rows += grads * grads
@@ -342,9 +342,17 @@ def train(
             init_table(len(data.vocab_l1), config.dim, config.init_sigma, (config.seed, 0), tag1),
             init_table(len(data.vocab_l2), config.dim, config.init_sigma, (config.seed, 1), tag2),
         )
-        state = AdaGradState.zeros(tables)
+        state = None
         start_epoch = 0
         rng = np.random.default_rng((config.seed, 2))
+
+    # the one place that fixes the layout: column-major float64, so a step's
+    # column blocks read contiguous memory and no step copies a table
+    for table in (tables.l1, tables.l2):
+        table.matrix = np.asfortranarray(table.matrix, dtype=np.float64)
+    if state is None:  # zeros_like keeps the tables' layout
+        state = AdaGradState.zeros(tables)
+    state.g_by_tag = {tag: np.asfortranarray(g, dtype=np.float64) for tag, g in state.g_by_tag.items()}
 
     if config.epochs is not None:
         epochs = config.epochs
@@ -364,9 +372,9 @@ def train(
             result.history.append((epoch, step, breakdown))
             if log_fn is not None:
                 log_fn(log_line(epoch, step, breakdown))
-        if checkpoint_path and checkpoint_every and epoch % checkpoint_every == 0:
+        if checkpoint_path and (epoch == epochs or checkpoint_every and epoch % checkpoint_every == 0):
             save_checkpoint(checkpoint_path, tables, state, config, epoch, rng)
-    if checkpoint_path:
+    if checkpoint_path and start_epoch == epochs:  # no epoch ran: save the start
         save_checkpoint(checkpoint_path, tables, state, config, epochs, rng)
     return result
 
@@ -377,17 +385,16 @@ def train(
 
 def parse_config_file(path, known_keys) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in stripped.split("=", 1))
-            if key not in known_keys:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = value
+    for lineno, line in numbered_lines(path, ConfigError):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key not in known_keys:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = value
     return values

@@ -115,6 +115,23 @@ class TestPreprocessCommand:
         ])
         assert code == 2
 
+    def test_bad_byte_is_data_error_naming_its_line(self, tiny_corpus, tmp_path, capsys):
+        bad = tmp_path / "bad.de"
+        bad.write_bytes(tiny_corpus["l2"].read_bytes().replace(b"der hund", b"der h\xffnd", 1))
+        code = main(preprocess_args({**tiny_corpus, "l2": bad}, tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad.de:2: not UTF-8 text" in err
+        assert not (tmp_path / "out").exists()  # nothing is written before the inputs read
+
+    def test_bad_byte_in_config_file_is_usage_error(self, tiny_corpus, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"# caf\xe9\nl1_tag = en\n")
+        code = main(preprocess_args(tiny_corpus, tmp_path / "out") + ["--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad.cfg:1: not UTF-8 text" in err
+
     def test_config_file_with_unknown_key_is_usage_error(self, tiny_corpus, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = yes\n")
@@ -241,6 +258,39 @@ class TestTrainCommand:
         assert err.count("\n") == 1
         assert "checkpoint epoch 3 is past the target of 2 epochs" in err
         assert ck.read_bytes() == before
+
+    def test_refused_resume_keeps_earlier_log(self, prepared, tmp_path, capsys):
+        outdir, log = tmp_path / "model", tmp_path / "run.log"
+        assert main(train_args(prepared, outdir, "--epochs", "3", "--log-file", str(log))) == 0
+        before = log.read_bytes()
+        assert len(before.splitlines()) == 3
+        code = main(train_args(prepared, outdir, "--resume-from", str(outdir / "checkpoint.npz"),
+                               "--log-file", str(log)))
+        assert code == 1
+        assert log.read_bytes() == before
+
+    @pytest.mark.parametrize("flag", ["--learning-rate", "--margin", "--lambda",
+                                      "--adagrad-epsilon", "--init-sigma"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_non_finite_or_negative_setting_is_usage_error(self, prepared, tmp_path, capsys,
+                                                           flag, value):
+        outdir = tmp_path / "model"
+        assert main(train_args(prepared, outdir, f"{flag}={value}")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"got {float(value)}" in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("mix", ["nan,0.5,0.5", "inf,0,0", "-0.5,1,0.5"])
+    def test_non_finite_or_negative_mix_is_usage_error(self, prepared, tmp_path, capsys, mix):
+        assert main(train_args(prepared, tmp_path / "model", f"--mix={mix}")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "mix must be three finite fractions" in err
+
+    def test_negative_bilingual_limit_is_usage_error(self, prepared, tmp_path, capsys):
+        code = main(train_args(prepared, tmp_path / "model", "--bilingual-limit", "-5", "--no-mono"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bilingual_limit must be >= 0, got -5" in err
 
     def test_checkpoint_with_unknown_config_key_is_data_error(self, prepared, tmp_path, capsys):
         outdir = tmp_path / "model"

@@ -12,9 +12,13 @@ from xlembed.corpus import (
     iter_tokens,
     lowercase_ratio,
     merge_vocabularies,
+    read_lines,
     read_parallel,
 )
-from xlembed.errors import AlignmentError, DataError
+from xlembed.embeddings import load_embeddings_text
+from xlembed.errors import AlignmentError, ConfigError, DataError
+from xlembed.evaluate import read_labeled_documents
+from xlembed.trainer import parse_config_file
 
 
 def char_class_ratio(text):
@@ -264,3 +268,31 @@ class TestEncodedCorpus:
 
     def test_iter_tokens_lowercase(self):
         assert list(iter_tokens(["A b", "C"], lowercase=True)) == ["a", "b", "c"]
+
+
+# each reader's well-formed first line, and a second line holding one byte
+# that is not UTF-8
+BAD_BYTE_FILES = {
+    read_lines: b"the cat sat\nthe d\xf6g ran\n",
+    Vocabulary.load: b"<unk>\t0\nd\xf6g\t3\n",
+    EncodedCorpus.load_ids: b"1 2 3\n4 \xff 6\n",
+    load_embeddings_text: b"1 2\n<unk>\xa0 0.0 0.0\n",
+    read_labeled_documents: b"x\td1\tthe cat\ny\td2\tthe d\xc3g\n",
+    parse_config_file: b"dim = 4\n# caf\xe9\n",
+}
+
+
+class TestTextReaders:
+    @pytest.mark.parametrize("reader", list(BAD_BYTE_FILES), ids=lambda r: r.__qualname__)
+    def test_bad_byte_names_its_line(self, tmp_path, reader):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(BAD_BYTE_FILES[reader])
+        # a config file's errors are usage errors, every other file's data errors
+        error = ConfigError if reader is parse_config_file else DataError
+        with pytest.raises(error, match="bad.txt:2: not UTF-8 text"):
+            reader(path, *([{"dim"}] if reader is parse_config_file else []))
+
+    def test_crlf_and_utf8_lines_read_as_text(self, tmp_path):
+        path = tmp_path / "crlf.txt"
+        path.write_bytes("the cat\r\ndie Kätze\r\n\r\nend".encode("utf-8"))
+        assert read_lines(path) == ["the cat", "die Kätze", "", "end"]

@@ -44,10 +44,6 @@ class TestInitTable:
         assert abs(flat.mean()) <= 4 * sigma / math.sqrt(n)
         assert abs(flat.std() - sigma) <= 0.02 * sigma
 
-    def test_float32_storage_mode(self):
-        table = init_table(10, 4, 0.1, seed=0, dtype=np.float32)
-        assert table.matrix.dtype == np.float32
-
     def test_bad_args(self):
         with pytest.raises(DataError):
             init_table(0, 4)

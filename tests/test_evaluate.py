@@ -272,6 +272,13 @@ class TestNearestNeighbors:
         if k < 59:  # the k-th score ties with a row left out
             assert scored[k - 1][1] == scored[k][1]
 
+    def test_query_is_looked_up_in_the_vocabulary_casing(self):
+        vocab, table = self._vocab_table([[0, 0], [1.0, 0.0], [0.0, 1.0]], "t")
+        assert nearest_neighbors("T1", vocab, table, vocab, table, k=1) == [("t1", 1.0)]
+        cased = Vocabulary(["T0", "t1"], [1, 1], 0, "t")
+        with pytest.raises(OovError, match="'t0'"):
+            nearest_neighbors("t0", cased, table, cased, table)
+
     def test_crosslingual_tables(self):
         src_vocab, src_table = self._vocab_table([[0, 0], [1.0, 0.0]], "en")
         dst_vocab, dst_table = self._vocab_table([[0, 0], [0.0, 1.0], [1.0, 0.1]], "de")
@@ -305,3 +312,15 @@ class TestLabeledDocumentFiles:
         encoded = encode_documents(docs, vocab)
         assert encoded[0].sentences[0].tolist() == [1, 2, 0]
         assert encoded[0].language_tag == "en"
+
+    def test_documents_are_looked_up_in_the_vocabulary_casing(self):
+        docs = [LabeledDocument("d", "x", ["Die Regierung und der Markt"], "")]
+        lowered = build_vocabulary("die der und regierung markt markt".split(), 1, "de")
+        cased = build_vocabulary("die der und Regierung markt markt".split(), 1, "de")
+        ids = [lowered.id_for(t) for t in "die regierung und der markt".split()]
+        assert 0 not in ids
+        assert encode_documents(docs, lowered)[0].sentences[0].tolist() == ids
+        # a cased vocabulary is looked up exactly: "Die" and "Markt" are unknown
+        assert encode_documents(docs, cased)[0].sentences[0].tolist() == [
+            0, cased.id_for("Regierung"), cased.id_for("und"), cased.id_for("der"), 0
+        ]

@@ -491,6 +491,83 @@ class TestFailureKeepsBoundaryCheckpoint:
             assert np.array_equal(after[name], array), name
 
 
+class TestTableLayout:
+    """train alone fixes the layout: its tables and accumulators are
+    column-major float64 after a fresh start and after a resume, and the
+    batch path reads them in place."""
+
+    CONFIG = TrainConfig(dim=4, epochs=6, batch_size=32, seed=9)
+
+    @staticmethod
+    def assert_column_major(result):
+        arrays = [result.tables.l1.matrix, result.tables.l2.matrix, *result.state.g_by_tag.values()]
+        for array in arrays:
+            assert array.flags.f_contiguous and not array.flags.c_contiguous
+            assert array.dtype == np.float64
+
+    def test_fresh_and_resumed_runs_are_column_major(self, tmp_path):
+        path = tmp_path / "ck.npz"
+        self.assert_column_major(train(small_data(), replace(self.CONFIG, epochs=3),
+                                       checkpoint_path=path))
+        self.assert_column_major(train(small_data(), self.CONFIG, resume_from=path))
+
+    def test_resume_from_row_major_checkpoint_replays_run(self, tmp_path):
+        full = train(small_data(), self.CONFIG)
+        path = tmp_path / "ck.npz"
+        train(small_data(), replace(self.CONFIG, epochs=3), checkpoint_path=path)
+        # rewrite the checkpoint row-major, as earlier versions saved it
+        members = checkpoint_members(path)
+        np.savez(path, **{name: a.copy(order="C") for name, a in members.items()})
+        assert checkpoint_members(path)["table_l1"].flags.c_contiguous
+        resumed = train(small_data(), self.CONFIG, resume_from=path)
+        self.assert_column_major(resumed)
+        assert resumed.history == [h for h in full.history if h[0] >= 4]
+        assert np.array_equal(resumed.tables.l1.matrix, full.tables.l1.matrix)
+        assert np.array_equal(resumed.tables.l2.matrix, full.tables.l2.matrix)
+        for tag, g in full.state.g_by_tag.items():
+            assert np.array_equal(resumed.state.g_by_tag[tag], g)
+
+    def test_steps_compose_from_the_tables_in_place(self, monkeypatch):
+        from xlembed import objective
+
+        read = []
+        compose = objective.SpanComposition
+
+        def spy(kind, matrix, span):
+            read.append(matrix)
+            return compose(kind, matrix, span)
+
+        monkeypatch.setattr(objective, "SpanComposition", spy)
+        result = train(small_data(), replace(self.CONFIG, epochs=1))
+        assert read and all(
+            m is result.tables.l1.matrix or m is result.tables.l2.matrix for m in read
+        )
+
+
+class TestCheckpointSaves:
+    @staticmethod
+    def saved_epochs(monkeypatch, tmp_path, config, **kwargs):
+        epochs = []
+        save = trainer.save_checkpoint
+
+        def record(path, tables, state, config, epoch, rng):
+            epochs.append(epoch)
+            save(path, tables, state, config, epoch, rng)
+
+        monkeypatch.setattr(trainer, "save_checkpoint", record)
+        train(small_data(), config, checkpoint_path=tmp_path / "ck.npz", **kwargs)
+        return epochs
+
+    @pytest.mark.parametrize("every, epochs", [(0, [3]), (1, [1, 2, 3]), (2, [2, 3]), (3, [3])])
+    def test_each_epoch_saved_once(self, monkeypatch, tmp_path, every, epochs):
+        config = TrainConfig(dim=2, epochs=3, batch_size=64)
+        assert self.saved_epochs(monkeypatch, tmp_path, config, checkpoint_every=every) == epochs
+
+    def test_run_of_no_epoch_saves_its_start_once(self, monkeypatch, tmp_path):
+        config = TrainConfig(dim=2, epochs=0, batch_size=64)
+        assert self.saved_epochs(monkeypatch, tmp_path, config, checkpoint_every=1) == [0]
+
+
 class TestConfigFile:
     def test_parse_and_unknown_key(self, tmp_path):
         path = tmp_path / "c.cfg"
