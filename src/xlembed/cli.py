@@ -392,6 +392,8 @@ def run_train(args) -> int:
     config.validate()
     if settings["bilingual_limit"] is not None and settings["bilingual_limit"] < 0:
         raise ConfigError(f"bilingual_limit must be >= 0, got {settings['bilingual_limit']}")
+    if settings["checkpoint_every"] < 0:
+        raise ConfigError(f"checkpoint_every must be >= 0, got {settings['checkpoint_every']}")
     _require_files(args.resume_from)
     data = _load_training_data(args.data_dir, settings)
     os.makedirs(args.outdir, exist_ok=True)

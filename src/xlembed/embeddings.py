@@ -4,12 +4,15 @@ The model parameters are nothing but one word-vector table per language.
 Spans compose either by plain addition or by summing tanh over the vector
 sums of adjacent word bigrams, which makes the result order sensitive.
 Composition (:class:`SpanComposition`) runs dimension-major, one block of
-embedding columns at a time, and keeps no per-position array between the
-forward and the backward; training and evaluation
-(:func:`compose_documents`) share it. The column blocks of a call run side
-by side on a pool of one thread per usable core (:func:`run_blocks`); each
-block writes only its own columns, so the results are bit-identical
-whatever the thread count, and there is nothing to tune.
+embedding columns at a time; between the forward and the backward it keeps
+no per-position values, only the span of every position. Training and
+evaluation (:func:`compose_documents`) share it. The column blocks of a
+call run side by side on a pool of one thread per usable core
+(:func:`run_blocks`); each block writes only its own columns, so the
+results are bit-identical whatever the thread count, and there is nothing
+to tune. Whatever depends on the spans alone is built once per
+composition, before its blocks run, so the blocks spend their time in
+numpy calls that release the GIL.
 """
 
 from __future__ import annotations
@@ -169,15 +172,30 @@ def run_blocks(block, blocks: list[slice]) -> None:
         future.result()
 
 
+def _segment_starts(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of the non-empty segments of ``lengths`` and the flat start
+    of each. ``np.add.reduceat`` cannot express an empty segment, so only
+    these are summed; :func:`_with_empty_segments` gives the empty ones a
+    zero sum."""
+    filled = lengths > 0
+    return filled, lengths.cumsum()[filled] - lengths[filled]
+
+
+def _with_empty_segments(sums: np.ndarray, filled: np.ndarray) -> np.ndarray:
+    """The sums of the non-empty segments along the last axis, with a zero
+    column for every empty segment."""
+    if filled.all():
+        return sums
+    out = np.zeros(sums.shape[:-1] + filled.shape, dtype=sums.dtype)
+    out[..., filled] = sums
+    return out
+
+
 def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Sums of consecutive variable-length segments along the last axis of
     ``values``, one column per segment; empty segments sum to zero."""
-    # reduceat cannot express an empty segment: sum the others only
-    filled = lengths > 0
-    starts = lengths.cumsum()[filled] - lengths[filled]
-    out = np.zeros(values.shape[:-1] + lengths.shape, dtype=values.dtype)
-    out[..., filled] = np.add.reduceat(values, starts, axis=-1)
-    return out
+    filled, starts = _segment_starts(lengths)
+    return _with_empty_segments(np.add.reduceat(values, starts, axis=-1), filled)
 
 
 class SpanComposition:
@@ -189,25 +207,36 @@ class SpanComposition:
     through :func:`run_blocks`. ``matrix`` is read in place, on any layout,
     with the same results; the gathers read contiguous memory when it is
     column-major, as the trainer's tables are. ``values`` is C-ordered
-    (n_spans, d). Nothing per position outlives a block: the Bi backward
-    gathers its block again from the kept view ``matrix.T``.
+    (n_spans, d). Nothing per position outlives a block but the span of
+    every position: the Bi backward gathers its block again from the kept
+    view ``matrix.T``.
+
+    What depends on the spans alone is built once, before any block runs:
+    the span starts for ``reduceat`` and the span-of-position index with
+    which the backward expands its upstream rows. A block's work is then
+    in ``take``, ``reduceat`` and ``tanh``, which release the GIL, so the
+    blocks of a call run side by side (``ndarray.repeat``, which holds it,
+    runs once, here).
     """
 
     def __init__(self, kind, matrix: np.ndarray, span: SpanSet):
         self.kind = CompositionKind.coerce(kind)
         self.span = span
         self._columns = matrix.T
+        filled, starts = _segment_starts(span.lengths)
         if self.kind is CompositionKind.BI:
             # bigram p joins positions p and p + 1; none starts at a span's
             # last position, so that slot holds zero
-            self._last = span.lengths.cumsum()[span.lengths > 0] - 1
+            self._last = starts + span.lengths[filled] - 1
+        self._span_of = np.repeat(np.arange(span.n), span.lengths)
         dim = self._columns.shape[0]
-        self.values = np.empty((span.n, dim), dtype=matrix.dtype)
+        sums = np.empty((dim, starts.size), dtype=matrix.dtype)
 
         def block(cols):
-            self.values[:, cols] = segment_sums(self._block(cols), span.lengths).T
+            np.add.reduceat(self._block(cols), starts, axis=-1, out=sums[cols])
 
         run_blocks(block, column_blocks(dim, span.ids.size))
+        self.values = np.ascontiguousarray(_with_empty_segments(sums, filled).T)
         if self.kind is CompositionKind.ADD:
             self._columns = None  # the Add backward reads no table
 
@@ -227,7 +256,7 @@ class SpanComposition:
         """Gradient of every flat position for the columns ``cols`` of one
         (n_spans, d) upstream, as a dimension-major (width, n_positions)
         block."""
-        up = upstream[:, cols].T.repeat(self.span.lengths, axis=1)
+        up = upstream[:, cols].T.take(self._span_of, axis=1)
         if self.kind is CompositionKind.ADD:
             return up
         # tanh' = 1 - tanh^2 of each bigram, which feeds its own position
@@ -292,6 +321,8 @@ def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
         matrix = np.empty((n, dim), dtype=np.float64)
     except ValueError:
         raise DataError(f"{path}:1: malformed header, expected '<vocab_size> <dim>'")
+    if dim < 1:
+        raise DataError(f"{path}:1: header gives dim {dim}, expected >= 1")
     tokens = []
     for i, (lineno, line) in zip(range(n), lines):
         parts = line.split()

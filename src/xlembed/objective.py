@@ -9,12 +9,15 @@ each mini-batch. Batch losses are plain sums over samples, not means.
 
 The batch path is dimension-major: compositions and the gradient
 accumulator work one block of embedding columns at a time, and no
-per-position array outlives a block. It reads the tables in place, correct
-on any layout; :func:`xlembed.trainer.train` keeps them column-major, so
-each block reads contiguous memory. The blocks of one call run side by side
-on one thread per usable core (:func:`xlembed.embeddings.run_blocks`); each
-writes only its own columns, so losses and gradients are bit-identical
-whatever the thread count, and there is nothing to tune.
+per-position value or gradient outlives a block. It reads the tables in
+place, correct on any layout; :func:`xlembed.trainer.train` keeps them
+column-major, so each block reads contiguous memory. The blocks of one call
+run side by side on one thread per usable core
+(:func:`xlembed.embeddings.run_blocks`); each writes only its own columns,
+so losses and gradients are bit-identical whatever the thread count, and
+there is nothing to tune. The loss alone (:func:`batch_loss`) stops before
+the backward: the regularizer's touched rows come from the sampled ids,
+not from the coalesced gradient.
 """
 
 from __future__ import annotations
@@ -68,24 +71,35 @@ class GradientAccumulator:
     def __init__(self, dim: int):
         self.dim = dim
         self._chunks: dict[str, list] = {}
+        self._rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # unique, inverse
 
     def add(self, tag: str, ids, grads) -> None:
         ids = np.asarray(ids, dtype=np.int64).ravel()
         if ids.size:
             self._chunks.setdefault(tag, []).append((ids, grads))
+            self._rows.pop(tag, None)
+
+    def touched(self) -> dict[str, np.ndarray]:
+        """Unique ids per language over the chunks added so far, from their
+        ids alone: no gradient block is computed. :meth:`coalesce` sums into
+        these rows without finding them again."""
+        for tag, chunks in self._chunks.items():
+            if tag not in self._rows:
+                self._rows[tag] = _unique_inverse(np.concatenate([ids for ids, _ in chunks]))
+        return {tag: unique for tag, (unique, _) in self._rows.items()}
 
     def coalesce(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Unique ids per language with their summed gradient rows. Each
         language's chunks leave the accumulator as they are summed, which
         frees their backward context (the compositions, the upstream
         arrays) once the sums exist; a second call returns ``{}``."""
+        self.touched()
         out = {}
         for tag in list(self._chunks):
             chunks = self._chunks.pop(tag)
-            ids_all = np.concatenate([ids for ids, _ in chunks])
-            unique, inverse = _unique_inverse(ids_all)
+            unique, inverse = self._rows.pop(tag)
             summed = np.zeros((unique.size, self.dim), dtype=np.float64)
-            blocks = column_blocks(self.dim, ids_all.size)
+            blocks = column_blocks(self.dim, inverse.size)
             # (column, row) cells of the first, widest block; a narrower
             # last block uses a prefix
             cells = (np.arange(blocks[0].stop)[:, None] * unique.size + inverse).ravel()
@@ -161,6 +175,45 @@ def _triple_term(batch: TripleBatch, tables, kind, margin, acc) -> float:
     return loss
 
 
+def _batch_loss(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, lam):
+    """The loss half of :func:`batch_loss_and_grad`: the composed terms, and
+    the regularizer on the touched rows, found from the chunk ids before any
+    gradient is computed. Returns the breakdown, the accumulator holding the
+    backward, and per touched language ``(lam_eff, rows)`` for the
+    regularizer's gradient."""
+    kind = CompositionKind.coerce(kind)
+    if margin < 0:
+        raise DataError(f"margin must be >= 0, got {margin}")
+    if lam < 0:
+        raise DataError(f"lambda must be >= 0, got {lam}")
+    acc = GradientAccumulator(tables.dim)
+
+    pair_batch, triple_l1, triple_l2 = (
+        b if b is not None and b.n else None for b in (bi_samples, mono_samples_l1, mono_samples_l2)
+    )
+    tag1, tag2 = tables.tags
+    if triple_l1 is not None and triple_l1.language_tag != tag1:
+        raise DataError(f"mono_samples_l1 carries tag {triple_l1.language_tag!r}, expected {tag1!r}")
+    if triple_l2 is not None and triple_l2.language_tag != tag2:
+        raise DataError(f"mono_samples_l2 carries tag {triple_l2.language_tag!r}, expected {tag2!r}")
+
+    l_bi = _pair_term(pair_batch, tables, kind, acc) if pair_batch else 0.0
+    l_m1 = _triple_term(triple_l1, tables, kind, margin, acc) if triple_l1 else 0.0
+    l_m2 = _triple_term(triple_l2, tables, kind, margin, acc) if triple_l2 else 0.0
+
+    touched = acc.touched()
+    reg, reg_rows = 0.0, {}
+    n_touched = sum(ids.size for ids in touched.values())
+    if lam > 0.0 and n_touched:
+        lam_eff = lam * n_touched / tables.total_rows
+        for tag in (tag1, tag2):
+            if tag in touched:
+                rows = tables.by_tag(tag).matrix[touched[tag]]
+                reg += lam_eff * float((rows * rows).sum())
+                reg_rows[tag] = (lam_eff, rows)
+    return LossBreakdown.of(l_bi, l_m1, l_m2, reg), acc, reg_rows
+
+
 def batch_loss_and_grad(
     bi_samples: PairBatch | None,
     mono_samples_l1: TripleBatch | None,
@@ -182,47 +235,22 @@ def batch_loss_and_grad(
     lam_eff * ||w||^2 with gradient 2 * lam_eff * w, where
     lam_eff = lam * touched_rows / total_rows.
     """
-    kind = CompositionKind.coerce(kind)
-    if margin < 0:
-        raise DataError(f"margin must be >= 0, got {margin}")
-    if lam < 0:
-        raise DataError(f"lambda must be >= 0, got {lam}")
-    acc = GradientAccumulator(tables.dim)
-
-    pair_batch, triple_l1, triple_l2 = (
-        b if b is not None and b.n else None for b in (bi_samples, mono_samples_l1, mono_samples_l2)
+    loss, acc, reg_rows = _batch_loss(
+        bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, lam
     )
-    tag1, tag2 = tables.tags
-    if triple_l1 is not None and triple_l1.language_tag != tag1:
-        raise DataError(f"mono_samples_l1 carries tag {triple_l1.language_tag!r}, expected {tag1!r}")
-    if triple_l2 is not None and triple_l2.language_tag != tag2:
-        raise DataError(f"mono_samples_l2 carries tag {triple_l2.language_tag!r}, expected {tag2!r}")
-
-    l_bi = _pair_term(pair_batch, tables, kind, acc) if pair_batch else 0.0
-    l_m1 = _triple_term(triple_l1, tables, kind, margin, acc) if triple_l1 else 0.0
-    l_m2 = _triple_term(triple_l2, tables, kind, margin, acc) if triple_l2 else 0.0
-
-    # the coalesced ids are the touched set; regularizer rows are added
-    # after the data sums, so every per-row sum keeps a fixed order
     grads = acc.coalesce()
-    reg = 0.0
-    n_touched = sum(ids.size for ids, _ in grads.values())
-    if lam > 0.0 and n_touched:
-        lam_eff = lam * n_touched / tables.total_rows
-        for tag in (tag1, tag2):
-            if tag in grads:
-                ids, summed = grads[tag]
-                rows = tables.by_tag(tag).matrix[ids]
-                reg += lam_eff * float((rows * rows).sum())
-                summed += 2.0 * lam_eff * rows
-
-    return LossBreakdown.of(l_bi, l_m1, l_m2, reg), grads
+    # regularizer rows are added after the data sums, so every per-row sum
+    # keeps a fixed order
+    for tag, (lam_eff, rows) in reg_rows.items():
+        _, summed = grads[tag]
+        summed += 2.0 * lam_eff * rows
+    return loss, grads
 
 
 def batch_loss(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind="add",
                margin: float = 40.0, lam: float = 1.0) -> LossBreakdown:
-    """The loss part of :func:`batch_loss_and_grad` (used by
+    """The loss of :func:`batch_loss_and_grad`, without its backward (used by
     finite-difference oracles)."""
-    return batch_loss_and_grad(
+    return _batch_loss(
         bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, lam
     )[0]

@@ -77,9 +77,10 @@ class TrainConfig:
         ):
             if not (np.isfinite(value) and (value > 0 or value == 0 and bound == ">= 0")):
                 raise ConfigError(f"{name} must be finite and {bound}, got {value}")
-        for name in ("epochs_bi_only", "epochs_with_mono"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+        for name in ("epochs_bi_only", "epochs_with_mono", "epochs"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         if self.mix is not None:
             if len(self.mix) != 3 or not all(np.isfinite(f) and f >= 0 for f in self.mix):
                 raise ConfigError(f"mix must be three finite fractions >= 0, got {self.mix}")

@@ -292,6 +292,15 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "bilingual_limit must be >= 0, got -5" in err
 
+    @pytest.mark.parametrize("flag, name", [("--epochs", "epochs"),
+                                            ("--checkpoint-every", "checkpoint_every")])
+    def test_negative_epoch_count_is_usage_error(self, prepared, tmp_path, capsys, flag, name):
+        outdir = tmp_path / "model"
+        assert main(train_args(prepared, outdir, flag, "-1")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{name} must be >= 0, got -1" in err
+        assert not outdir.exists()
+
     def test_checkpoint_with_unknown_config_key_is_data_error(self, prepared, tmp_path, capsys):
         outdir = tmp_path / "model"
         assert main(train_args(prepared, outdir)) == 0
@@ -369,6 +378,7 @@ MALFORMED_VEC = {
     "2 2\n<unk> 0.0 0.0\nfoo nan 1.0\n": "bad.vec:3: non-finite",
     "2 2\n<unk> 0.0 0.0\nfoo 1.0 inf\n": "bad.vec:3: non-finite",
     "3 2\n<unk> 0.0 0.0\nfoo 1.0 2.0\n": "bad.vec: header promises 3 rows, the file holds 2",
+    "2 0\n<unk>\nfoo\n": "bad.vec:1: header gives dim 0, expected >= 1",
 }
 
 

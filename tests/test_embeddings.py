@@ -273,6 +273,42 @@ class TestSpanComposition:
         worst = float((np.abs(batch.values - expected) / expected).max())
         assert worst <= 1e-13
 
+    @pytest.mark.parametrize("kind", ["add", "bi"])
+    @pytest.mark.parametrize("one_column", [False, True])
+    def test_blocks_match_per_column_reference(self, kind, one_column, request):
+        # the forward as segment_sums over one column at a time, the
+        # backward expanding the upstream with np.repeat: every bit equal
+        if one_column:
+            request.getfixturevalue("one_column_blocks")(2)
+        rng = np.random.default_rng(12)
+        lengths = np.array([0, 3, 0, 1, 5, 0, 2, 4, 0])
+        matrix = rng.normal(size=(10, 6))
+        ids = rng.integers(0, 10, size=lengths.sum())
+        upstream = rng.normal(size=(lengths.size, 6))
+        batch = SpanComposition(kind, matrix, SpanSet(ids, lengths))
+
+        last = (lengths.cumsum() - 1)[lengths > 0]
+        values = np.empty((lengths.size, 6))
+        grads = np.empty((6, ids.size))
+        for j in range(6):
+            block = matrix.T[j : j + 1].take(ids, axis=1)
+            up = upstream[:, j : j + 1].T.repeat(lengths, axis=1)
+            if kind == "bi":
+                t = np.zeros_like(block)
+                t[:, :-1] = np.tanh(block[:, :-1] + block[:, 1:])
+                t[:, last] = 0.0
+                block = t
+                d = (1.0 - t * t) * up
+                d[:, last] = 0.0
+                up = np.concatenate([d[:, :1], d[:, 1:] + d[:, :-1]], axis=1)
+            values[:, j] = segment_sums(block, lengths)[0]
+            grads[j] = up[0]
+
+        assert batch.values.flags.c_contiguous
+        assert np.array_equal(batch.values, values)
+        for cols in column_blocks(6, ids.size):
+            assert np.array_equal(batch.position_grads(upstream, cols), grads[cols])
+
     def test_bi_single_token_span_is_zero(self):
         batch = SpanComposition("bi", np.ones((4, 2)), spans([1], [2, 3, 1]))
         assert np.allclose(batch.values[0], 0.0)
