@@ -12,7 +12,8 @@ call run side by side on a pool of one thread per usable core
 results are bit-identical whatever the thread count, and there is nothing
 to tune. Whatever depends on the spans alone is built once per
 composition, before its blocks run, so the blocks spend their time in
-numpy calls that release the GIL.
+numpy calls that release the GIL. The same pool runs the blocks of rows
+(:func:`row_blocks`) of a train step's per-row work.
 """
 
 from __future__ import annotations
@@ -135,6 +136,15 @@ def column_blocks(dim: int, positions: int) -> list[slice]:
     return [slice(j, min(j + k, dim)) for j in range(0, dim, k)]
 
 
+def row_blocks(n: int, dim: int) -> list[slice]:
+    """Consecutive row slices covering ``n`` rows, each holding at most
+    BLOCK_CELLS cells of an (n, dim) array but at least one row; none for
+    no rows. Row blocks read any table layout well, since a block's rows
+    are gathered whole."""
+    k = max(1, BLOCK_CELLS // max(dim, 1))
+    return [slice(i, min(i + k, n)) for i in range(0, n, k)]
+
+
 def _block_pool() -> ThreadPoolExecutor | None:
     """One thread per usable core, or no pool on a single core. Threads
     start on the first multi-block call, so a process that composes only
@@ -150,22 +160,25 @@ BLOCK_POOL = _block_pool()
 
 
 def run_blocks(block, blocks: list[slice]) -> None:
-    """Call ``block(cols)`` for every column slice, side by side on
-    BLOCK_POOL. Each call must write only its own columns, so the results
-    do not depend on the thread count, and must not call run_blocks itself,
-    since waiting on the pool from a pool thread can deadlock.
+    """Call ``block(part)`` for every slice, side by side on BLOCK_POOL.
+    The slices may be of columns (:func:`column_blocks`) or of rows
+    (:func:`row_blocks`); each call must write only outputs that no other
+    call writes, so the results do not depend on the thread count, and must
+    not call run_blocks itself, since waiting on the pool from a pool thread
+    can deadlock.
 
-    A single block, or any call without a pool, runs in the calling thread.
-    Every pool call runs in a copy of the caller's context, so the caller's
-    ``np.errstate`` holds there too. The first failing block's exception, in
-    block order, reaches the caller once every block has finished.
+    One block or none, or any call without a pool, runs in the calling
+    thread. Every pool call runs in a copy of the caller's context, so the
+    caller's ``np.errstate`` holds there too. The first failing block's
+    exception, in block order, reaches the caller once every block has
+    finished.
     """
-    if BLOCK_POOL is None or len(blocks) == 1:
-        for cols in blocks:
-            block(cols)
+    if BLOCK_POOL is None or len(blocks) <= 1:
+        for part in blocks:
+            block(part)
         return
     futures = [
-        BLOCK_POOL.submit(contextvars.copy_context().run, block, cols) for cols in blocks
+        BLOCK_POOL.submit(contextvars.copy_context().run, block, part) for part in blocks
     ]
     wait(futures)
     for future in futures:
@@ -321,6 +334,8 @@ def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
         matrix = np.empty((n, dim), dtype=np.float64)
     except ValueError:
         raise DataError(f"{path}:1: malformed header, expected '<vocab_size> <dim>'")
+    except MemoryError:
+        raise DataError(f"{path}:1: header gives {n} x {dim} values, too many to allocate")
     if dim < 1:
         raise DataError(f"{path}:1: header gives dim {dim}, expected >= 1")
     tokens = []

@@ -7,17 +7,26 @@ noise phrase, with an always-on sub-phrase distance term and length-ratio
 scaling), and an L2 penalty applied stochastically to the rows touched by
 each mini-batch. Batch losses are plain sums over samples, not means.
 
-The batch path is dimension-major: compositions and the gradient
-accumulator work one block of embedding columns at a time, and no
-per-position value or gradient outlives a block. It reads the tables in
-place, correct on any layout; :func:`xlembed.trainer.train` keeps them
-column-major, so each block reads contiguous memory. The blocks of one call
-run side by side on one thread per usable core
-(:func:`xlembed.embeddings.run_blocks`); each writes only its own columns,
-so losses and gradients are bit-identical whatever the thread count, and
-there is nothing to tune. The loss alone (:func:`batch_loss`) stops before
-the backward: the regularizer's touched rows come from the sampled ids,
-not from the coalesced gradient.
+The batch path composes each language once: its pair side and its outer,
+inner and noise phrases are laid end to end in one
+:class:`~xlembed.embeddings.SpanComposition`, whose values split back into
+one view per set, and its gradient is one accumulator chunk. Every span
+sums on its own and no Bi bigram crosses a span, so each value, and each
+gradient cell's order of terms, is that of the sets composed one by one.
+The terms themselves are plain maths on those values.
+
+The path is dimension-major: compositions and the gradient accumulator work
+one block of embedding columns at a time, and no per-position value or
+gradient outlives a block. It reads the tables in place, correct on any
+layout; :func:`xlembed.trainer.train` keeps them column-major, so each
+block reads contiguous memory. The regularizer's rows are gathered, and its
+gradient added, one block of rows at a time. The blocks of one call run
+side by side on one thread per usable core
+(:func:`xlembed.embeddings.run_blocks`); each writes only its own columns or
+rows, so losses and gradients are bit-identical whatever the thread count,
+and there is nothing to tune. The loss alone (:func:`batch_loss`) stops
+before the backward: the regularizer's touched rows come from the sampled
+ids, not from the coalesced gradient.
 """
 
 from __future__ import annotations
@@ -27,8 +36,10 @@ from functools import partial
 
 import numpy as np
 
-from .corpus import PairBatch, TripleBatch
-from .embeddings import CompositionKind, SpanComposition, TablePair, column_blocks, run_blocks
+from .corpus import PairBatch, SpanSet, TripleBatch
+from .embeddings import (
+    CompositionKind, SpanComposition, TablePair, column_blocks, row_blocks, run_blocks,
+)
 from .errors import DataError
 
 
@@ -140,24 +151,20 @@ def _unique_inverse(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # batch loss and gradient
 
 
-def _pair_term(batch: PairBatch, tables, kind, acc) -> float:
-    c1 = SpanComposition(kind, tables.by_tag(batch.tag_l1).matrix, batch.side_l1)
-    c2 = SpanComposition(kind, tables.by_tag(batch.tag_l2).matrix, batch.side_l2)
-    diff = c1.values - c2.values
-    acc.add(batch.tag_l1, batch.side_l1.ids, partial(c1.position_grads, 2.0 * diff))
-    acc.add(batch.tag_l2, batch.side_l2.ids, partial(c2.position_grads, -2.0 * diff))
-    return float((diff * diff).sum())
+def _pair_term(v1: np.ndarray, v2: np.ndarray):
+    """Sum of squared distances between the rows of v1 and v2, and the
+    upstream gradients of the two sides."""
+    diff = v1 - v2
+    return float((diff * diff).sum()), 2.0 * diff, -2.0 * diff
 
 
-def _triple_term(batch: TripleBatch, tables, kind, margin, acc) -> float:
+def _triple_term(vo, vi, vn, batch: TripleBatch, margin: float):
     """Sum of [max(0, margin + d_in - d_no) + d_in] * len_inner / len_outer
-    over the triples; at the hinge kink the inactive branch is used."""
-    matrix = tables.by_tag(batch.language_tag).matrix
-    co = SpanComposition(kind, matrix, batch.outer)
-    ci = SpanComposition(kind, matrix, batch.inner)
-    cn = SpanComposition(kind, matrix, batch.noise)
-    diff_in = co.values - ci.values
-    diff_no = co.values - cn.values
+    over the triples composed to the rows vo, vi and vn, and the upstream
+    gradients of the outer, inner and noise phrases; at the hinge kink the
+    inactive branch is used."""
+    diff_in = vo - vi
+    diff_no = vo - vn
     d_in = (diff_in * diff_in).sum(axis=1)
     d_no = (diff_no * diff_no).sum(axis=1)
     ratio = batch.inner.lengths / batch.outer.lengths
@@ -169,10 +176,49 @@ def _triple_term(batch: TripleBatch, tables, kind, margin, acc) -> float:
     up_out = r * ((1.0 + a)[:, None] * 2.0 * diff_in - a[:, None] * 2.0 * diff_no)
     up_in = -r * (1.0 + a)[:, None] * 2.0 * diff_in
     up_noise = (a * ratio)[:, None] * 2.0 * diff_no
-    acc.add(batch.language_tag, batch.outer.ids, partial(co.position_grads, up_out))
-    acc.add(batch.language_tag, batch.inner.ids, partial(ci.position_grads, up_in))
-    acc.add(batch.language_tag, batch.noise.ids, partial(cn.position_grads, up_noise))
-    return loss
+    return loss, up_out, up_in, up_noise
+
+
+def _compose(kind, matrix: np.ndarray, span_sets: list[SpanSet]):
+    """One :class:`SpanComposition` over span sets laid end to end, and its
+    values split into one view per set. Each span sums on its own and Bi
+    zeroes every span's last bigram, so no term crosses from one set into
+    the next: every value is that of its set composed alone. A single set
+    is composed as it is."""
+    if len(span_sets) == 1:
+        composition = SpanComposition(kind, matrix, span_sets[0])
+        return composition, [composition.values]
+    joined = SpanSet(
+        np.concatenate([s.ids for s in span_sets]),
+        np.concatenate([s.lengths for s in span_sets]),
+    )
+    composition = SpanComposition(kind, matrix, joined)
+    return composition, np.split(composition.values, np.cumsum([s.n for s in span_sets[:-1]]))
+
+
+def _gather_squares(matrix: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``matrix[ids]`` and its elementwise square as C-ordered arrays,
+    gathered one block of rows at a time on the block pool."""
+    rows = np.empty((ids.size, matrix.shape[1]), dtype=matrix.dtype)
+    squares = np.empty_like(rows)
+
+    def block(part):
+        rows[part] = matrix[ids[part]]
+        np.multiply(rows[part], rows[part], out=squares[part])
+
+    run_blocks(block, row_blocks(*rows.shape))
+    return rows, squares
+
+
+def _add_scaled(summed: np.ndarray, scale: float, rows: np.ndarray) -> None:
+    """``summed += scale * rows``, one block of rows at a time on the block
+    pool."""
+
+    def block(part):
+        view = summed[part]
+        view += scale * rows[part]
+
+    run_blocks(block, row_blocks(*rows.shape))
 
 
 def _batch_loss(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, lam):
@@ -197,9 +243,38 @@ def _batch_loss(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, marg
     if triple_l2 is not None and triple_l2.language_tag != tag2:
         raise DataError(f"mono_samples_l2 carries tag {triple_l2.language_tag!r}, expected {tag2!r}")
 
-    l_bi = _pair_term(pair_batch, tables, kind, acc) if pair_batch else 0.0
-    l_m1 = _triple_term(triple_l1, tables, kind, margin, acc) if triple_l1 else 0.0
-    l_m2 = _triple_term(triple_l2, tables, kind, margin, acc) if triple_l2 else 0.0
+    # each language's span sets, composed together in the order pair side,
+    # outer, inner, noise; the terms take their values back in that order
+    span_sets: dict[str, list[SpanSet]] = {}
+    if pair_batch:
+        span_sets.setdefault(pair_batch.tag_l1, []).append(pair_batch.side_l1)
+        span_sets.setdefault(pair_batch.tag_l2, []).append(pair_batch.side_l2)
+    for triple in (triple_l1, triple_l2):
+        if triple:
+            span_sets.setdefault(triple.language_tag, []).extend(
+                (triple.outer, triple.inner, triple.noise)
+            )
+    compositions, values = {}, {}
+    for tag, sets in span_sets.items():
+        compositions[tag], views = _compose(kind, tables.by_tag(tag).matrix, sets)
+        values[tag] = iter(views)
+    upstreams: dict[str, list[np.ndarray]] = {tag: [] for tag in span_sets}
+
+    l_bi, l_mono = 0.0, [0.0, 0.0]
+    if pair_batch:
+        t1, t2 = pair_batch.tag_l1, pair_batch.tag_l2
+        l_bi, up1, up2 = _pair_term(next(values[t1]), next(values[t2]))
+        upstreams[t1].append(up1)
+        upstreams[t2].append(up2)
+    for i, triple in enumerate((triple_l1, triple_l2)):
+        if triple:
+            views = values[triple.language_tag]
+            l_mono[i], *ups = _triple_term(next(views), next(views), next(views), triple, margin)
+            upstreams[triple.language_tag].extend(ups)
+    for tag, composition in compositions.items():
+        ups = upstreams.pop(tag)
+        upstream = ups[0] if len(ups) == 1 else np.concatenate(ups)
+        acc.add(tag, composition.span.ids, partial(composition.position_grads, upstream))
 
     touched = acc.touched()
     reg, reg_rows = 0.0, {}
@@ -208,10 +283,10 @@ def _batch_loss(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, marg
         lam_eff = lam * n_touched / tables.total_rows
         for tag in (tag1, tag2):
             if tag in touched:
-                rows = tables.by_tag(tag).matrix[touched[tag]]
-                reg += lam_eff * float((rows * rows).sum())
+                rows, squares = _gather_squares(tables.by_tag(tag).matrix, touched[tag])
+                reg += lam_eff * float(squares.sum())
                 reg_rows[tag] = (lam_eff, rows)
-    return LossBreakdown.of(l_bi, l_m1, l_m2, reg), acc, reg_rows
+    return LossBreakdown.of(l_bi, *l_mono, reg), acc, reg_rows
 
 
 def batch_loss_and_grad(
@@ -242,8 +317,7 @@ def batch_loss_and_grad(
     # regularizer rows are added after the data sums, so every per-row sum
     # keeps a fixed order
     for tag, (lam_eff, rows) in reg_rows.items():
-        _, summed = grads[tag]
-        summed += 2.0 * lam_eff * rows
+        _add_scaled(grads[tag][1], 2.0 * lam_eff, rows)
     return loss, grads
 
 

@@ -3,8 +3,10 @@ monolingual sample streams, with checkpointing and deterministic replay.
 
 Each step computes the batch loss and its coalesced sparse gradient with
 :func:`xlembed.objective.batch_loss_and_grad`, then applies AdaGrad to
-exactly the touched rows. Training is bit-deterministic for a fixed seed,
-including across a checkpoint/resume boundary.
+exactly the touched rows, one block of rows at a time on the block pool,
+and writes both tables only once both are computed and finite. Training is
+bit-deterministic for a fixed seed, including across a checkpoint/resume
+boundary.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from .corpus import (
     sample_bilingual_pairs,
     sample_phrase_triples,
 )
-from .embeddings import CompositionKind, EmbeddingTable, TablePair, init_table
+from .embeddings import (
+    CompositionKind, EmbeddingTable, TablePair, init_table, row_blocks, run_blocks,
+)
 from .errors import ConfigError, DataError, TrainingError
 from .objective import LossBreakdown, batch_loss_and_grad
 
@@ -119,24 +123,52 @@ def apply_sparse_update(
     G += g^2, then w -= lr * g / (sqrt(G) + eps).
 
     Returns the new accumulator rows and weight rows as (g_rows, w_rows),
-    computed into new arrays and checked to be finite; nothing is written,
-    so the caller can commit several tables together or none of them.
+    computed into new C-ordered arrays and checked to be finite; nothing is
+    written, so the caller can commit several tables together or none of
+    them. The rows are gathered and updated one block of rows at a time on
+    the block pool (:func:`xlembed.embeddings.row_blocks`), which reads any
+    layout of ``table`` and ``g_matrix`` well; every cell's arithmetic is
+    that of one whole-array update.
     """
-    if not np.isfinite(grads).all():
+    g_rows = np.empty(grads.shape, dtype=g_matrix.dtype)
+    w_rows = np.empty(grads.shape, dtype=table.matrix.dtype)
+    failed = set()  # what went non-finite in some block: "gradient" or "update"
+
+    def update(part):
+        g = grads[part]
+        if not np.isfinite(g).all():
+            failed.add("gradient")
+            return
+        g_new, w_new = g_rows[part], w_rows[part]
+        g_new[...] = g_matrix[ids[part]]
+        g_new += g * g
+        w_new[...] = table.matrix[ids[part]]
+        w_new -= lr * g / (np.sqrt(g_new) + eps)
+        if not (np.isfinite(g_new).all() and np.isfinite(w_new).all()):
+            failed.add("update")
+
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
+        run_blocks(update, row_blocks(*grads.shape))
+    # the messages are those of one whole-array check
+    if "gradient" in failed:
         bad = ids[~np.isfinite(grads).all(axis=1)]
         raise TrainingError(
             f"non-finite gradient for {table.language_tag!r} rows {bad[:8].tolist()}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
-        g_rows = g_matrix[ids]
-        g_rows += grads * grads
-        w_rows = table.matrix[ids]
-        w_rows -= lr * grads / (np.sqrt(g_rows) + eps)
-    if not (np.isfinite(g_rows).all() and np.isfinite(w_rows).all()):
+    if failed:
         raise TrainingError(
             f"non-finite weights or accumulators after update in {table.language_tag!r}"
         )
     return g_rows, w_rows
+
+
+def _commit(matrix: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """``matrix[ids] = rows``, one block of rows at a time on the block pool."""
+
+    def block(part):
+        matrix[ids[part]] = rows[part]
+
+    run_blocks(block, row_blocks(*rows.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +239,8 @@ def train_step(batch: Batch, tables: TablePair, state: AdaGradState, config: Tra
         )
         staged.append((table.matrix, g_matrix, ids) + rows)
     for matrix, g_matrix, ids, g_rows, w_rows in staged:
-        g_matrix[ids] = g_rows
-        matrix[ids] = w_rows
+        _commit(g_matrix, ids, g_rows)
+        _commit(matrix, ids, w_rows)
     return breakdown
 
 
@@ -339,10 +371,16 @@ def train(
         if set(tables.tags) != {tag1, tag2}:
             raise DataError("checkpoint language tags do not match the corpora")
     else:
-        tables = TablePair(
-            init_table(len(data.vocab_l1), config.dim, config.init_sigma, (config.seed, 0), tag1),
-            init_table(len(data.vocab_l2), config.dim, config.init_sigma, (config.seed, 1), tag2),
-        )
+        try:
+            tables = TablePair(
+                init_table(len(data.vocab_l1), config.dim, config.init_sigma, (config.seed, 0), tag1),
+                init_table(len(data.vocab_l2), config.dim, config.init_sigma, (config.seed, 1), tag2),
+            )
+        except MemoryError:
+            raise ConfigError(
+                f"dim {config.dim} gives tables of {len(data.vocab_l1)} and {len(data.vocab_l2)} "
+                "rows too large to allocate"
+            )
         state = None
         start_epoch = 0
         rng = np.random.default_rng((config.seed, 2))

@@ -189,6 +189,16 @@ class TestTrainCommand:
         # mono sources absent: their loss columns stay exactly zero
         assert all(float(l.split()[3]) == 0.0 and float(l.split()[4]) == 0.0 for l in lines)
 
+    def test_dim_too_large_to_allocate_is_usage_error(self, prepared, tmp_path, capsys):
+        # 1e12 columns fail at allocation at once; no size that might be
+        # allocated is tried
+        outdir = tmp_path / "model"
+        assert main(train_args(prepared, outdir, "--dim", "1000000000000")) == 1
+        err = capsys.readouterr().err
+        assert "dim 1000000000000 gives tables of" in err and "too large to allocate" in err
+        assert err.count("\n") == 1
+        assert not (outdir / "checkpoint.npz").exists()
+
     @pytest.mark.parametrize("bad_id", ["-1", "100000"])
     def test_id_outside_vocabulary_is_data_error(self, prepared, tmp_path, bad_id):
         append_to_first_line(prepared / "bi.de.ids", bad_id)
@@ -379,6 +389,10 @@ MALFORMED_VEC = {
     "2 2\n<unk> 0.0 0.0\nfoo 1.0 inf\n": "bad.vec:3: non-finite",
     "3 2\n<unk> 0.0 0.0\nfoo 1.0 2.0\n": "bad.vec: header promises 3 rows, the file holds 2",
     "2 0\n<unk>\nfoo\n": "bad.vec:1: header gives dim 0, expected >= 1",
+    # 1e11 rows fail at allocation at once; no size that might be allocated is tried
+    "100000000000 40\nfoo 1.0\n": (
+        "bad.vec:1: header gives 100000000000 x 40 values, too many to allocate"
+    ),
 }
 
 
@@ -560,6 +574,28 @@ class TestClassifyEvalCommand:
             "--train-docs-l1", str(train_l1),
         ])
         assert code == 1
+
+
+@pytest.mark.parametrize("command", ["nn", "classify-eval", "compose"])
+def test_vec_too_large_to_allocate_is_data_error(model_dir, doc_files, tmp_path, capsys, command):
+    # 1e11 rows fail at allocation at once; no size that might be allocated is tried
+    big = tmp_path / "big.vec"
+    big.write_text("100000000000 40\nfoo 1.0\n")
+    train_l1, test_l2 = doc_files
+    args = {
+        "nn": ["nn", "--embeddings", str(big), "--query", "foo"],
+        "classify-eval": [
+            "classify-eval", "--embeddings-l1", str(model_dir / "en.vec"),
+            "--embeddings-l2", str(big),
+            "--train-docs-l1", str(train_l1), "--test-docs-l2", str(test_l2),
+        ],
+        "compose": ["compose", "--embeddings", str(big), "--docs", str(train_l1),
+                    "--out", str(tmp_path / "docs.vec")],
+    }[command]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{big}:1: header gives 100000000000 x 40 values, too many to allocate" in err
+    assert err.count("\n") == 1
 
 
 class TestComposeCommand:

@@ -2,6 +2,7 @@ import hashlib
 import sys
 import weakref
 from dataclasses import astuple
+from functools import partial
 
 import numpy as np
 import oracle
@@ -419,6 +420,108 @@ class TestBatchBits:
         )
 
 
+def per_set_reference(pairs, mono_l1, mono_l2, tables, kind, margin, lam):
+    """The batch loss and gradient with every span set composed on its own
+    and accumulated as its own chunk, in the order pair sides, then outer,
+    inner and noise of each language; the maths of the batch path."""
+    acc = GradientAccumulator(tables.dim)
+    losses = [0.0, 0.0, 0.0]
+
+    def composed(tag, span):
+        return embeddings.SpanComposition(kind, tables.by_tag(tag).matrix, span)
+
+    def add(tag, composition, upstream):
+        acc.add(tag, composition.span.ids, partial(composition.position_grads, upstream))
+
+    if pairs is not None and pairs.n:
+        c1, c2 = composed(pairs.tag_l1, pairs.side_l1), composed(pairs.tag_l2, pairs.side_l2)
+        diff = c1.values - c2.values
+        losses[0] = float((diff * diff).sum())
+        add(pairs.tag_l1, c1, 2.0 * diff)
+        add(pairs.tag_l2, c2, -2.0 * diff)
+    for slot, triple in ((1, mono_l1), (2, mono_l2)):
+        if triple is None or not triple.n:
+            continue
+        tag = triple.language_tag
+        co, ci, cn = (composed(tag, s) for s in (triple.outer, triple.inner, triple.noise))
+        diff_in, diff_no = co.values - ci.values, co.values - cn.values
+        d_in, d_no = (diff_in * diff_in).sum(axis=1), (diff_no * diff_no).sum(axis=1)
+        ratio = triple.inner.lengths / triple.outer.lengths
+        hinge = margin + d_in - d_no
+        a = (hinge > 0.0).astype(np.float64)
+        losses[slot] = float(((np.where(hinge > 0.0, hinge, 0.0) + d_in) * ratio).sum())
+        r = ratio[:, None]
+        add(tag, co, r * ((1.0 + a)[:, None] * 2.0 * diff_in - a[:, None] * 2.0 * diff_no))
+        add(tag, ci, -r * (1.0 + a)[:, None] * 2.0 * diff_in)
+        add(tag, cn, (a * ratio)[:, None] * 2.0 * diff_no)
+    touched = acc.touched()
+    n_touched = sum(ids.size for ids in touched.values())
+    reg, reg_rows = 0.0, {}
+    if lam > 0.0 and n_touched:
+        lam_eff = lam * n_touched / tables.total_rows
+        for tag in tables.tags:
+            if tag in touched:
+                rows = tables.by_tag(tag).matrix[touched[tag]]
+                reg += lam_eff * float((rows * rows).sum())
+                reg_rows[tag] = 2.0 * lam_eff * rows
+    grads = acc.coalesce()
+    for tag, rows in reg_rows.items():
+        grads[tag][1][...] += rows
+    return LossBreakdown.of(*losses, reg), grads
+
+
+def hand_batches():
+    """Small batches with empty spans, one-word spans, and every subset of
+    the three sources, over 6-word tables."""
+    pairs = PairBatch("en", "de", spans([], [1, 2, 3], [4], [], [5, 1]),
+                      spans([2], [], [3, 4, 5, 0], [1, 1], []))
+    mono_l1 = TripleBatch("en", spans([1, 2, 3, 4], [2, 5, 1]), spans([], [5, 1]),
+                          spans([3, 3, 0], []))
+    mono_l2 = TripleBatch("de", spans([4, 1, 0], [2, 2, 2, 3, 5]), spans([4, 1], [2, 3]),
+                          spans([5], [0, 1, 2]))
+    return {
+        "mixed": (pairs, mono_l1, mono_l2),
+        "pairs only": (pairs, None, None),
+        "mono only": (None, mono_l1, mono_l2),
+        "one language": (None, mono_l1, None),
+        "pairs and one language": (pairs, None, mono_l2),
+    }
+
+
+class TestPerLanguageComposition:
+    """Each language's span sets are composed together; the results must be
+    those of composing every set on its own, bit for bit."""
+
+    @staticmethod
+    def assert_same(got, expected):
+        (loss, grads), (ref_loss, ref_grads) = got, expected
+        assert np.array_equal(astuple(loss), astuple(ref_loss))
+        assert sorted(grads) == sorted(ref_grads)
+        for tag in grads:
+            assert np.array_equal(grads[tag][0], ref_grads[tag][0])
+            assert np.array_equal(grads[tag][1], ref_grads[tag][1])
+
+    @pytest.mark.parametrize("kind", ["add", "bi"])
+    @pytest.mark.parametrize("name", list(hand_batches()))
+    def test_hand_batches_match_per_set_reference(self, kind, name):
+        rng = np.random.default_rng(5)
+        tables = tables_of(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
+        batch = hand_batches()[name]
+        for lam in (0.0, 0.7):
+            expected = per_set_reference(*batch, tables, kind, 0.5, lam)
+            self.assert_same(batch_loss_and_grad(*batch, tables, kind, 0.5, lam), expected)
+            loss = batch_loss(*batch, tables, kind, 0.5, lam)
+            assert np.array_equal(astuple(loss), astuple(expected[0]))
+
+    @pytest.mark.parametrize("kind", ["add", "bi"])
+    def test_mixed_batch_matches_per_set_reference(self, kind, synth_batch, one_column_blocks):
+        batch, tables = synth_batch
+        sources = (batch.pairs, batch.mono_l1, batch.mono_l2)
+        expected = per_set_reference(*sources, tables, kind, 40.0, 1.0)
+        one_column_blocks(2)
+        self.assert_same(batch_loss_and_grad(*sources, tables, kind, 40.0, 1.0), expected)
+
+
 class TestGradientAccumulator:
     def test_absent_key_reads_zero(self):
         acc = GradientAccumulator(3)
@@ -471,7 +574,7 @@ class TestGradientAccumulator:
         monkeypatch.setattr(GradientAccumulator, "coalesce", checked_coalesce)
         for kind in ("add", "bi"):
             batch_loss_and_grad(batch.pairs, batch.mono_l1, batch.mono_l2, tables, kind, 40.0, 1.0)
-        assert len(refs) == 2 * (2 + 3 + 3)  # the pair sides and two triples, per kind
+        assert len(refs) == 2 * 2  # one per language, per kind
         assert alive == [0, 0]
         assert all(ref() is None for ref in refs)
 

@@ -18,7 +18,7 @@ from xlembed.corpus import (
 )
 from xlembed.embeddings import EmbeddingTable, TablePair, init_table
 from xlembed.errors import ConfigError, DataError, TrainingError
-from xlembed.objective import batch_loss
+from xlembed.objective import batch_loss, batch_loss_and_grad
 from xlembed.trainer import (
     AdaGradState,
     Batch,
@@ -234,6 +234,145 @@ class TestTrainStep:
                 (tables.by_tag(tag).matrix != before[tag]).any(axis=1)
             )
             assert set(changed.tolist()) <= batch_ids[tag]
+
+
+def serial_update(matrix, g_matrix, ids, grads, lr, eps):
+    """The oracle's AdaGrad step on every touched row, one row at a time,
+    as the new (G, w) rows."""
+    steps = [oracle.adagrad_step(matrix[i], g_matrix[i], g, lr, eps) for i, g in zip(ids, grads)]
+    return np.array([g for g, _ in steps]), np.array([w for _, w in steps])
+
+
+def laid_out(tables, state, table_order, g_order):
+    for table in (tables.l1, tables.l2):
+        table.matrix = np.asarray(table.matrix, order=table_order)
+    state.g_by_tag = {tag: np.asarray(g, order=g_order) for tag, g in state.g_by_tag.items()}
+
+
+def arrays(tables, state):
+    return [tables.l1.matrix, tables.l2.matrix, state.g_by_tag["en"], state.g_by_tag["de"]]
+
+
+LAYOUTS = [("F", "F"), ("F", "C"), ("C", "C")]  # (tables, accumulators)
+
+
+class TestRowBlocks:
+    """The per-row tail (regularizer rows, AdaGrad, commit) runs in one-row
+    blocks on two pool threads; the results must be those of serial code,
+    and a failure in any block must write nothing."""
+
+    @pytest.mark.parametrize("g_order", ["C", "F"])
+    def test_update_matches_serial_reference(self, one_column_blocks, g_order):
+        one_column_blocks(2)
+        rng = np.random.default_rng(2)
+        matrix = np.asfortranarray(rng.normal(size=(30, 4)))
+        g_matrix = np.asarray(np.abs(rng.normal(size=(30, 4))), order=g_order)
+        ids = np.array([0, 3, 4, 9, 17, 28, 29])
+        grads = rng.normal(size=(ids.size, 4))
+        before = (matrix.copy(), g_matrix.copy())
+        g_rows, w_rows = apply_sparse_update(
+            EmbeddingTable(matrix, "en"), g_matrix, ids, grads, 0.3, 1e-8
+        )
+        ref_g, ref_w = serial_update(matrix, g_matrix, ids, grads, 0.3, 1e-8)
+        assert np.array_equal(g_rows, ref_g) and np.array_equal(w_rows, ref_w)
+        assert np.array_equal(matrix, before[0]) and np.array_equal(g_matrix, before[1])
+
+    @pytest.mark.parametrize("table_order,g_order", LAYOUTS)
+    def test_train_step_matches_serial_reference(self, one_column_blocks, table_order, g_order):
+        data = small_data(seed=4)
+        config = TrainConfig(dim=4, batch_size=12)
+        batch = make_batch(data, config, (0.4, 0.3, 0.3), np.random.default_rng(8))
+        tables = TablePair(
+            init_table(len(data.vocab_l1), 4, 0.1, (4, 0), "en"),
+            init_table(len(data.vocab_l2), 4, 0.1, (4, 1), "de"),
+        )
+        state = AdaGradState.zeros(tables)
+        state.g_by_tag = {tag: g + 0.5 for tag, g in state.g_by_tag.items()}
+        laid_out(tables, state, table_order, g_order)
+        expected = [a.copy() for a in arrays(tables, state)]
+        ref_loss, grads = batch_loss_and_grad(
+            batch.pairs, batch.mono_l1, batch.mono_l2, tables, "add", config.resolved_margin(),
+            config.lam,
+        )
+        for i, tag in enumerate(tables.tags):
+            ids, rows = grads[tag]
+            g_rows, w_rows = serial_update(
+                expected[i], expected[2 + i], ids, rows, config.learning_rate,
+                config.adagrad_epsilon,
+            )
+            expected[2 + i][ids] = g_rows
+            expected[i][ids] = w_rows
+        one_column_blocks(2)
+        loss = train_step(batch, tables, state, config)
+        assert loss == ref_loss
+        for got, want in zip(arrays(tables, state), expected):
+            assert np.array_equal(got, want)
+
+    def test_late_nonfinite_gradient_names_first_eight_ids(self, one_column_blocks):
+        one_column_blocks(2)
+        ids = np.arange(0, 40, 2)
+        grads = np.ones((ids.size, 3))
+        grads[[19, 11, 14, 12, 13, 15, 16, 17, 18], 1] = [np.nan, np.inf, -np.inf] * 3
+        table = EmbeddingTable(np.zeros((40, 3)), "en")
+        with pytest.raises(TrainingError) as info:
+            apply_sparse_update(table, np.zeros((40, 3)), ids, grads, 0.1, 1e-8)
+        assert str(info.value) == (
+            "non-finite gradient for 'en' rows [22, 24, 26, 28, 30, 32, 34, 36]"
+        )
+
+    def test_late_nonfinite_update_message(self, one_column_blocks):
+        one_column_blocks(2)
+        matrix = np.zeros((20, 2))
+        matrix[19] = 1.5e308
+        grads = -np.ones((20, 2))
+        with pytest.raises(TrainingError) as info:
+            apply_sparse_update(EmbeddingTable(matrix, "de"), np.zeros((20, 2)), np.arange(20),
+                                grads, 1e308, 1e-8)
+        assert str(info.value) == "non-finite weights or accumulators after update in 'de'"
+
+    @staticmethod
+    def failing_step(tables, state, pair, lr):
+        config = TrainConfig(dim=2, lam=0.0, learning_rate=lr, batch_size=1)
+        before = [a.copy() for a in arrays(tables, state)]
+        with pytest.raises(TrainingError) as info:
+            train_step(Batch(pairs=pair), tables, state, config)
+        for old, new in zip(before, arrays(tables, state)):
+            assert old.tobytes() == new.tobytes()
+        return str(info.value)
+
+    @pytest.mark.parametrize("table_order,g_order", LAYOUTS)
+    def test_late_nonfinite_gradient_writes_nothing(self, one_column_blocks, table_order, g_order):
+        one_column_blocks(2)
+        # the second en span composes to inf, so only en rows 10 and 11 (and
+        # the de rows of that pair) get a non-finite gradient
+        en = np.full((12, 2), 0.25)
+        en[10:] = 1e308
+        tables = TablePair(EmbeddingTable(en, "en"), EmbeddingTable(np.full((12, 2), 0.5), "de"))
+        state = AdaGradState.zeros(tables)
+        laid_out(tables, state, table_order, g_order)
+        pair = PairBatch("en", "de", spans(list(range(10)), [10, 11]),
+                         spans(list(range(5)), [6, 7]))
+        assert self.failing_step(tables, state, pair, 0.1) == (
+            "non-finite gradient for 'en' rows [10, 11]"
+        )
+
+    @pytest.mark.parametrize("table_order,g_order", LAYOUTS)
+    def test_only_second_table_failing_writes_nothing(self, one_column_blocks, table_order,
+                                                      g_order):
+        one_column_blocks(2)
+        # v1 = [0.25, 2.25], and v2 = [0, 2] from zero rows and two huge
+        # rows: every gradient is +-0.5, so at learning rate 1e308 each row
+        # steps by 1e308, which only the last de row cannot take
+        de = np.zeros((12, 2))
+        de[10:] = [[-1.5e308, 1.0], [1.5e308, 1.0]]
+        en = np.tile([0.0625, 0.5625], (4, 1))
+        tables = TablePair(EmbeddingTable(en, "en"), EmbeddingTable(de, "de"))
+        state = AdaGradState.zeros(tables)
+        laid_out(tables, state, table_order, g_order)
+        pair = PairBatch("en", "de", spans([0, 1, 2, 3]), spans(list(range(12))))
+        assert self.failing_step(tables, state, pair, 1e308) == (
+            "non-finite weights or accumulators after update in 'de'"
+        )
 
 
 class TestMakeBatch:
