@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -275,6 +276,13 @@ def run_preprocess(args) -> int:
     tag_l1, tag_l2 = cfg["l1_tag"], cfg["l2_tag"]
     if tag_l1 == tag_l2:
         raise ConfigError("l1 and l2 tags must differ")
+    for name in ("min_sentence_len", "unk_threshold_bi_l1", "unk_threshold_bi_l2",
+                 "unk_threshold_mono_l1", "unk_threshold_mono_l2"):
+        if cfg[name] < 1:
+            raise ConfigError(f"{name} must be >= 1, got {cfg[name]}")
+    for name in ("lowercase_cutoff_l1", "lowercase_cutoff_l2"):
+        if math.isnan(cfg[name]):
+            raise ConfigError(f"{name} must be a number, got nan")
     lowercase = cfg["lowercase"]
     min_len = cfg["min_sentence_len"]
 

@@ -12,8 +12,8 @@ call run side by side on a pool of one thread per usable core
 results are bit-identical whatever the thread count, and there is nothing
 to tune. Whatever depends on the spans alone is built once per
 composition, before its blocks run, so the blocks spend their time in
-numpy calls that release the GIL. The same pool runs the blocks of rows
-(:func:`row_blocks`) of a train step's per-row work.
+numpy calls that release the GIL. The same pool runs the blocks of rows of
+a train step's per-row work; :func:`cell_blocks` cuts both.
 """
 
 from __future__ import annotations
@@ -123,25 +123,16 @@ class TablePair:
 # ---------------------------------------------------------------------------
 # batched composition over flat span sets, one block of columns at a time
 
-# cells per column block: tiny batches take every column in one block,
+# cells per block: tiny batches take every column in one block,
 # benchmark-scale span sets one column per block
 BLOCK_CELLS = 1 << 16
 
 
-def column_blocks(dim: int, positions: int) -> list[slice]:
-    """Consecutive column slices covering ``dim`` columns, each holding at
-    most BLOCK_CELLS cells of a (dim, positions) array but at least one
-    column."""
-    k = max(1, min(dim, BLOCK_CELLS // max(positions, 1)))
-    return [slice(j, min(j + k, dim)) for j in range(0, dim, k)]
-
-
-def row_blocks(n: int, dim: int) -> list[slice]:
-    """Consecutive row slices covering ``n`` rows, each holding at most
-    BLOCK_CELLS cells of an (n, dim) array but at least one row; none for
-    no rows. Row blocks read any table layout well, since a block's rows
-    are gathered whole."""
-    k = max(1, BLOCK_CELLS // max(dim, 1))
+def cell_blocks(n: int, width: int) -> list[slice]:
+    """Consecutive slices covering ``n`` units (the columns or the rows of
+    an array whose other axis holds ``width`` cells), each slice holding at
+    most BLOCK_CELLS cells but at least one unit; none for ``n == 0``."""
+    k = max(1, BLOCK_CELLS // max(width, 1))
     return [slice(i, min(i + k, n)) for i in range(0, n, k)]
 
 
@@ -161,11 +152,10 @@ BLOCK_POOL = _block_pool()
 
 def run_blocks(block, blocks: list[slice]) -> None:
     """Call ``block(part)`` for every slice, side by side on BLOCK_POOL.
-    The slices may be of columns (:func:`column_blocks`) or of rows
-    (:func:`row_blocks`); each call must write only outputs that no other
-    call writes, so the results do not depend on the thread count, and must
-    not call run_blocks itself, since waiting on the pool from a pool thread
-    can deadlock.
+    The slices (:func:`cell_blocks`) may be of columns or of rows; each
+    call must write only outputs that no other call writes, so the results
+    do not depend on the thread count, and must not call run_blocks itself,
+    since waiting on the pool from a pool thread can deadlock.
 
     One block or none, or any call without a pool, runs in the calling
     thread. Every pool call runs in a copy of the caller's context, so the
@@ -215,7 +205,7 @@ class SpanComposition:
     """Composed vectors for a batch of spans, and the backward that pushes a
     per-span upstream gradient down to per-position gradients.
 
-    The work is dimension-major: each block of columns (:func:`column_blocks`)
+    The work is dimension-major: each block of columns (:func:`cell_blocks`)
     gathers its columns for every position from ``matrix.T``; the blocks run
     through :func:`run_blocks`. ``matrix`` is read in place, on any layout,
     with the same results; the gathers read contiguous memory when it is
@@ -248,7 +238,7 @@ class SpanComposition:
         def block(cols):
             np.add.reduceat(self._block(cols), starts, axis=-1, out=sums[cols])
 
-        run_blocks(block, column_blocks(dim, span.ids.size))
+        run_blocks(block, cell_blocks(dim, span.ids.size))
         self.values = np.ascontiguousarray(_with_empty_segments(sums, filled).T)
         if self.kind is CompositionKind.ADD:
             self._columns = None  # the Add backward reads no table

@@ -10,10 +10,11 @@ each mini-batch. Batch losses are plain sums over samples, not means.
 The batch path composes each language once: its pair side and its outer,
 inner and noise phrases are laid end to end in one
 :class:`~xlembed.embeddings.SpanComposition`, whose values split back into
-one view per set, and its gradient is one accumulator chunk. Every span
-sums on its own and no Bi bigram crosses a span, so each value, and each
-gradient cell's order of terms, is that of the sets composed one by one.
-The terms themselves are plain maths on those values.
+one view per set, and its backward is the language's one gradient source
+in the accumulator. Every span sums on its own and no Bi bigram crosses a
+span, so each value, and each gradient cell's order of terms, is that of
+the sets composed one by one. The terms themselves are plain maths on
+those values.
 
 The path is dimension-major: compositions and the gradient accumulator work
 one block of embedding columns at a time, and no per-position value or
@@ -38,7 +39,7 @@ import numpy as np
 
 from .corpus import PairBatch, SpanSet, TripleBatch
 from .embeddings import (
-    CompositionKind, SpanComposition, TablePair, column_blocks, row_blocks, run_blocks,
+    CompositionKind, SpanComposition, TablePair, cell_blocks, run_blocks,
 )
 from .errors import DataError
 
@@ -69,63 +70,54 @@ class LossBreakdown:
 class GradientAccumulator:
     """Sparse map (language_tag, word_id) -> d-vector of summed gradients.
 
-    A chunk is an id array plus a function ``grads(cols)`` that returns the
-    chunk's gradients for the column slice ``cols`` as a dimension-major
-    (width, ids.size) block. :meth:`coalesce` asks every chunk for one block
-    of columns at a time and sums it into the unique rows with one
-    ``bincount`` over flattened (column, row) cells, so no positions x dim
-    gradient is ever built; every cell sums its terms from zero in chunk
-    order, then position order. The blocks run through
+    Each language has one source: an id array plus a function
+    ``grads(cols)`` that returns the gradients of those ids for the column
+    slice ``cols`` as a dimension-major (width, ids.size) block. The
+    source's unique ids are found when it is added. :meth:`coalesce` asks
+    it for one block of columns at a time and sums the block into the
+    unique rows with one ``bincount`` over flattened (column, row) cells,
+    so no positions x dim gradient is ever built; every cell sums its terms
+    from zero in position order. The blocks run through
     :func:`xlembed.embeddings.run_blocks`.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._chunks: dict[str, list] = {}
-        self._rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # unique, inverse
+        self._sources: dict[str, tuple] = {}  # unique, inverse, grads
 
     def add(self, tag: str, ids, grads) -> None:
+        if tag in self._sources:
+            raise DataError(f"a gradient source for {tag!r} was already added")
         ids = np.asarray(ids, dtype=np.int64).ravel()
         if ids.size:
-            self._chunks.setdefault(tag, []).append((ids, grads))
-            self._rows.pop(tag, None)
+            self._sources[tag] = (*_unique_inverse(ids), grads)
 
     def touched(self) -> dict[str, np.ndarray]:
-        """Unique ids per language over the chunks added so far, from their
-        ids alone: no gradient block is computed. :meth:`coalesce` sums into
-        these rows without finding them again."""
-        for tag, chunks in self._chunks.items():
-            if tag not in self._rows:
-                self._rows[tag] = _unique_inverse(np.concatenate([ids for ids, _ in chunks]))
-        return {tag: unique for tag, (unique, _) in self._rows.items()}
+        """Unique ids per language, from the ids alone: no gradient block is
+        computed."""
+        return {tag: unique for tag, (unique, _, _) in self._sources.items()}
 
     def coalesce(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Unique ids per language with their summed gradient rows. Each
-        language's chunks leave the accumulator as they are summed, which
-        frees their backward context (the compositions, the upstream
-        arrays) once the sums exist; a second call returns ``{}``."""
-        self.touched()
+        language's source leaves the accumulator as it is summed, which
+        frees its backward context (the composition, the upstream array)
+        once the sums exist; a second call returns ``{}``."""
         out = {}
-        for tag in list(self._chunks):
-            chunks = self._chunks.pop(tag)
-            unique, inverse = self._rows.pop(tag)
+        for tag in list(self._sources):
+            unique, inverse, grads = self._sources.pop(tag)
             summed = np.zeros((unique.size, self.dim), dtype=np.float64)
-            blocks = column_blocks(self.dim, inverse.size)
+            blocks = cell_blocks(self.dim, inverse.size)
             # (column, row) cells of the first, widest block; a narrower
             # last block uses a prefix
             cells = (np.arange(blocks[0].stop)[:, None] * unique.size + inverse).ravel()
 
             def sum_block(cols):
                 width = cols.stop - cols.start
-                parts = []
-                for ids, grads in chunks:
-                    part = grads(cols)
-                    if part.shape != (width, ids.size):
-                        raise DataError(
-                            f"gradient block shape {part.shape} does not match ids {ids.size}"
-                        )
-                    parts.append(part)
-                block = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+                block = grads(cols)
+                if block.shape != (width, inverse.size):
+                    raise DataError(
+                        f"gradient block shape {block.shape} does not match ids {inverse.size}"
+                    )
                 sums = np.bincount(
                     cells[: block.size], weights=block.ravel(), minlength=width * unique.size
                 )
@@ -206,7 +198,7 @@ def _gather_squares(matrix: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np
         rows[part] = matrix[ids[part]]
         np.multiply(rows[part], rows[part], out=squares[part])
 
-    run_blocks(block, row_blocks(*rows.shape))
+    run_blocks(block, cell_blocks(*rows.shape))
     return rows, squares
 
 
@@ -218,14 +210,14 @@ def _add_scaled(summed: np.ndarray, scale: float, rows: np.ndarray) -> None:
         view = summed[part]
         view += scale * rows[part]
 
-    run_blocks(block, row_blocks(*rows.shape))
+    run_blocks(block, cell_blocks(*rows.shape))
 
 
 def _batch_loss(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, lam):
     """The loss half of :func:`batch_loss_and_grad`: the composed terms, and
-    the regularizer on the touched rows, found from the chunk ids before any
-    gradient is computed. Returns the breakdown, the accumulator holding the
-    backward, and per touched language ``(lam_eff, rows)`` for the
+    the regularizer on the touched rows, found from the composed ids before
+    any gradient is computed. Returns the breakdown, the accumulator holding
+    the backward, and per touched language ``(lam_eff, rows)`` for the
     regularizer's gradient."""
     kind = CompositionKind.coerce(kind)
     if margin < 0:

@@ -27,7 +27,7 @@ from .corpus import (
     sample_phrase_triples,
 )
 from .embeddings import (
-    CompositionKind, EmbeddingTable, TablePair, init_table, row_blocks, run_blocks,
+    CompositionKind, EmbeddingTable, TablePair, init_table, cell_blocks, run_blocks,
 )
 from .errors import ConfigError, DataError, TrainingError
 from .objective import LossBreakdown, batch_loss_and_grad
@@ -126,7 +126,7 @@ def apply_sparse_update(
     computed into new C-ordered arrays and checked to be finite; nothing is
     written, so the caller can commit several tables together or none of
     them. The rows are gathered and updated one block of rows at a time on
-    the block pool (:func:`xlembed.embeddings.row_blocks`), which reads any
+    the block pool (:func:`xlembed.embeddings.cell_blocks`), which reads any
     layout of ``table`` and ``g_matrix`` well; every cell's arithmetic is
     that of one whole-array update.
     """
@@ -148,7 +148,7 @@ def apply_sparse_update(
             failed.add("update")
 
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
-        run_blocks(update, row_blocks(*grads.shape))
+        run_blocks(update, cell_blocks(*grads.shape))
     # the messages are those of one whole-array check
     if "gradient" in failed:
         bad = ids[~np.isfinite(grads).all(axis=1)]
@@ -168,7 +168,7 @@ def _commit(matrix: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
     def block(part):
         matrix[ids[part]] = rows[part]
 
-    run_blocks(block, row_blocks(*rows.shape))
+    run_blocks(block, cell_blocks(*rows.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,21 @@ class TestPreprocessCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "bad.cfg:1: not UTF-8 text" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--min-sentence-len", "0", "min_sentence_len must be >= 1, got 0"),
+        ("--unk-threshold-bi-l1", "0", "unk_threshold_bi_l1 must be >= 1, got 0"),
+        ("--unk-threshold-mono-l2", "-2", "unk_threshold_mono_l2 must be >= 1, got -2"),
+        ("--lowercase-cutoff-l1", "nan", "lowercase_cutoff_l1 must be a number, got nan"),
+    ])
+    def test_bad_setting_is_usage_error_before_any_output(self, tiny_corpus, tmp_path, capsys,
+                                                          flag, value, message):
+        outdir = tmp_path / "out"
+        assert main(preprocess_args(tiny_corpus, outdir) + [flag, value]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and f"configuration error: {message}" in err
+        assert not outdir.exists()
+
     def test_config_file_with_unknown_key_is_usage_error(self, tiny_corpus, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = yes\n")

@@ -13,7 +13,7 @@ from xlembed.embeddings import (
     CompositionKind,
     SpanComposition,
     TablePair,
-    column_blocks,
+    cell_blocks,
     compose_documents,
     init_table,
     load_embeddings_text,
@@ -227,11 +227,18 @@ class TestSpanComposition:
         assert out.T.tolist() == [[0.0, 0.0], [2.0, 4.0], [0.0, 0.0], [10.0, 12.0], [0.0, 0.0]]
         assert segment_sums(np.zeros((2, 0)), np.array([0, 0])).tolist() == [[0.0, 0.0]] * 2
 
-    def test_column_blocks_cover_every_column(self, monkeypatch):
+    def test_cell_blocks_cover_every_unit(self, monkeypatch):
         monkeypatch.setattr(embeddings, "BLOCK_CELLS", 100)
-        assert column_blocks(40, 2) == [slice(0, 40)]
-        assert column_blocks(40, 30) == [slice(j, min(j + 3, 40)) for j in range(0, 40, 3)]
-        assert column_blocks(40, 10**6) == [slice(j, j + 1) for j in range(40)]
+        # columns of a (40, positions) block
+        assert cell_blocks(40, 2) == [slice(0, 40)]
+        assert cell_blocks(40, 0) == [slice(0, 40)]
+        assert cell_blocks(40, 30) == [slice(j, min(j + 3, 40)) for j in range(0, 40, 3)]
+        assert cell_blocks(40, 10**6) == [slice(j, j + 1) for j in range(40)]
+        # rows of an (n, 40) array
+        assert cell_blocks(0, 40) == []
+        assert cell_blocks(1, 40) == [slice(0, 1)]
+        assert cell_blocks(5, 40) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+        assert cell_blocks(3, 1000) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
     @pytest.mark.parametrize("kind", ["add", "bi"])
     def test_batch_matches_per_span_composition(self, kind):
@@ -306,7 +313,7 @@ class TestSpanComposition:
 
         assert batch.values.flags.c_contiguous
         assert np.array_equal(batch.values, values)
-        for cols in column_blocks(6, ids.size):
+        for cols in cell_blocks(6, ids.size):
             assert np.array_equal(batch.position_grads(upstream, cols), grads[cols])
 
     def test_bi_single_token_span_is_zero(self):

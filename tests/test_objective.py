@@ -2,7 +2,6 @@ import hashlib
 import sys
 import weakref
 from dataclasses import astuple
-from functools import partial
 
 import numpy as np
 import oracle
@@ -37,8 +36,8 @@ from xlembed.trainer import (
 )
 
 
-def row_blocks(rows: np.ndarray):
-    """The ``grads`` function of an accumulator chunk held as one (n, d) array."""
+def dense_grads(rows: np.ndarray):
+    """The ``grads`` function of an accumulator source held as one (n, d) array."""
     return lambda cols: rows[:, cols].T
 
 
@@ -421,17 +420,18 @@ class TestBatchBits:
 
 
 def per_set_reference(pairs, mono_l1, mono_l2, tables, kind, margin, lam):
-    """The batch loss and gradient with every span set composed on its own
-    and accumulated as its own chunk, in the order pair sides, then outer,
-    inner and noise of each language; the maths of the batch path."""
+    """The batch loss and gradient with every span set composed on its own;
+    each language's gradient source joins its sets' blocks in the order pair
+    side, then outer, inner and noise; the maths of the batch path."""
     acc = GradientAccumulator(tables.dim)
     losses = [0.0, 0.0, 0.0]
+    parts: dict[str, list] = {}  # tag -> [(composition, upstream)]
 
     def composed(tag, span):
         return embeddings.SpanComposition(kind, tables.by_tag(tag).matrix, span)
 
     def add(tag, composition, upstream):
-        acc.add(tag, composition.span.ids, partial(composition.position_grads, upstream))
+        parts.setdefault(tag, []).append((composition, upstream))
 
     if pairs is not None and pairs.n:
         c1, c2 = composed(pairs.tag_l1, pairs.side_l1), composed(pairs.tag_l2, pairs.side_l2)
@@ -454,6 +454,11 @@ def per_set_reference(pairs, mono_l1, mono_l2, tables, kind, margin, lam):
         add(tag, co, r * ((1.0 + a)[:, None] * 2.0 * diff_in - a[:, None] * 2.0 * diff_no))
         add(tag, ci, -r * (1.0 + a)[:, None] * 2.0 * diff_in)
         add(tag, cn, (a * ratio)[:, None] * 2.0 * diff_no)
+    for tag, sets in parts.items():
+        ids = np.concatenate([c.span.ids for c, _ in sets])
+        acc.add(tag, ids, lambda cols, sets=sets: np.concatenate(
+            [c.position_grads(up, cols) for c, up in sets], axis=1
+        ))
     touched = acc.touched()
     n_touched = sum(ids.size for ids in touched.values())
     reg, reg_rows = 0.0, {}
@@ -529,28 +534,38 @@ class TestGradientAccumulator:
 
     def test_add_and_coalesce(self):
         acc = GradientAccumulator(2)
-        acc.add("en", [1, 2, 1], row_blocks(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])))
+        acc.add("en", [1, 2, 1], dense_grads(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])))
         ids, grads = acc.coalesce()["en"]
         assert ids.tolist() == [1, 2]
         assert grads.tolist() == [[3.0, 2.0], [0.0, 1.0]]
 
     @pytest.mark.parametrize("cells", [1, 10**9])
-    def test_chunks_match_unique_and_add_at(self, cells, monkeypatch):
+    def test_sources_match_unique_and_add_at(self, cells, monkeypatch):
         monkeypatch.setattr(embeddings, "BLOCK_CELLS", cells)
         rng = np.random.default_rng(4)
         acc = GradientAccumulator(5)
-        all_ids, all_rows = [], []
-        for n in (7, 1, 12):
-            ids, rows = rng.integers(3, 40, size=n), rng.normal(size=(n, 5))
-            acc.add("en", ids, row_blocks(rows))
-            all_ids.append(ids)
-            all_rows.append(rows)
-        ids, grads = acc.coalesce()["en"]
-        unique, inverse = np.unique(np.concatenate(all_ids), return_inverse=True)
-        expected = np.zeros((unique.size, 5))
-        np.add.at(expected, inverse, np.concatenate(all_rows))
-        assert ids.tolist() == unique.tolist()
-        assert np.allclose(grads, expected, rtol=0, atol=1e-12)
+        sources = {}
+        for tag, n in (("en", 7), ("de", 1), ("fr", 12)):
+            sources[tag] = rng.integers(3, 40, size=n), rng.normal(size=(n, 5))
+            acc.add(tag, sources[tag][0], dense_grads(sources[tag][1]))
+        assert sorted(acc.touched()) == sorted(sources)
+        coalesced = acc.coalesce()
+        assert sorted(coalesced) == sorted(sources)
+        for tag, (source_ids, rows) in sources.items():
+            ids, grads = coalesced[tag]
+            unique, inverse = np.unique(source_ids, return_inverse=True)
+            expected = np.zeros((unique.size, 5))
+            np.add.at(expected, inverse, rows)
+            assert ids.tolist() == unique.tolist()
+            assert np.allclose(grads, expected, rtol=0, atol=1e-12)
+
+    def test_second_source_for_a_language_rejected(self):
+        acc = GradientAccumulator(2)
+        acc.add("en", [1, 2], dense_grads(np.ones((2, 2))))
+        acc.add("de", [1], dense_grads(np.ones((1, 2))))
+        with pytest.raises(DataError, match="'en'"):
+            acc.add("en", [3], dense_grads(np.ones((1, 2))))
+        assert acc.coalesce()["en"][1].tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_coalesce_frees_backward_context(self, synth_batch, monkeypatch):
         # every composition of an Add+Bi batch is gone once coalesce has
@@ -580,20 +595,20 @@ class TestGradientAccumulator:
 
     def test_second_coalesce_is_empty(self):
         acc = GradientAccumulator(2)
-        acc.add("en", [1, 1], row_blocks(np.ones((2, 2))))
+        acc.add("en", [1, 1], dense_grads(np.ones((2, 2))))
         assert acc.coalesce()["en"][1].tolist() == [[2.0, 2.0]]
         assert acc.coalesce() == {}
 
     def test_shape_mismatch_rejected(self):
         acc = GradientAccumulator(3)
-        acc.add("en", [1, 2], row_blocks(np.zeros((3, 3))))
+        acc.add("en", [1, 2], dense_grads(np.zeros((3, 3))))
         with pytest.raises(DataError):
             acc.coalesce()
 
     def test_shape_mismatch_rejected_on_pool_threads(self, one_column_blocks):
         one_column_blocks(2)
         acc = GradientAccumulator(3)
-        acc.add("en", [1, 2], row_blocks(np.zeros((3, 3))))
+        acc.add("en", [1, 2], dense_grads(np.zeros((3, 3))))
         with pytest.raises(DataError, match="gradient block shape"):
             acc.coalesce()
 

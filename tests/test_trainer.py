@@ -176,12 +176,12 @@ class TestTrainStep:
         assert after < before
 
     def test_overflowing_l2_update_leaves_both_tables_unchanged(self):
-        # v2 = [0, 2] from two huge rows, so every gradient is small, but at
-        # learning rate 1e308 one of the two l2 rows steps past the float
-        # range while the l1 row stays finite
+        # v2 = [0, 1] from two huge rows, so every gradient is +-1, and at
+        # learning rate 1e308 the second l2 row steps past the float range;
+        # the l1 row, whose accumulator starts at 2, stays finite
         tables = TablePair(
             EmbeddingTable(np.array([[0.5, 0.5]]), "en"),
-            EmbeddingTable(np.array([[-1.5e308, 1.0], [1.5e308, 1.0]]), "de"),
+            EmbeddingTable(np.array([[-1.5e308, 0.5], [1.5e308, 0.5]]), "de"),
         )
         state = AdaGradState.zeros(tables)
         state.g_by_tag["en"][:] = 2.0
@@ -189,7 +189,7 @@ class TestTrainStep:
         config = TrainConfig(dim=2, lam=0.0, learning_rate=1e308, batch_size=1)
         before = [a.copy() for a in (tables.l1.matrix, tables.l2.matrix,
                                      state.g_by_tag["en"], state.g_by_tag["de"])]
-        with pytest.raises(TrainingError):
+        with pytest.raises(TrainingError, match="after update in 'de'"):
             train_step(Batch(pairs=pair), tables, state, config)
         after = (tables.l1.matrix, tables.l2.matrix, state.g_by_tag["en"], state.g_by_tag["de"])
         for old, new in zip(before, after):
