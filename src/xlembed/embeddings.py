@@ -310,11 +310,13 @@ def save_embeddings_text(path, tokens, matrix: np.ndarray) -> None:
         )
     with atomic_write(path) as f:
         f.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
-        for token, row in zip(tokens, matrix):
-            f.write(token)
-            for v in row:
-                f.write(f" {float(v)!r}")
-            f.write("\n")
+        # one row's floats at a time: repr of a Python float is the text of
+        # float(v)!r, and a whole-table tolist() would hold every value boxed;
+        # a float64 table is not copied
+        rows = np.asarray(matrix, dtype=np.float64)
+        f.writelines(
+            " ".join((token, *map(repr, row.tolist()))) + "\n" for token, row in zip(tokens, rows)
+        )
 
 
 def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
@@ -332,7 +334,7 @@ def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
     for i, (lineno, line) in zip(range(n), lines):
         parts = line.split()
         if len(parts) != dim + 1:
-            raise DataError(f"{path}: row {i} has {len(parts) - 1} values, expected {dim}")
+            raise DataError(f"{path}:{lineno}: row {i} has {len(parts) - 1} values, expected {dim}")
         tokens.append(parts[0])
         try:
             matrix[i] = [float(x) for x in parts[1:]]
@@ -340,6 +342,9 @@ def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
             raise DataError(f"{path}:{lineno}: non-numeric value in row {i}")
     if len(tokens) < n:
         raise DataError(f"{path}: header promises {n} rows, the file holds {len(tokens)}")
+    for lineno, line in lines:
+        if line.strip():
+            raise DataError(f"{path}:{lineno}: a row past the {n} rows the header gives")
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise DataError(f"{path}:{bad[0] + 2}: non-finite value in row {bad[0]}")

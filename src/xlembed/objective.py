@@ -9,25 +9,28 @@ each mini-batch. Batch losses are plain sums over samples, not means.
 
 The batch path composes each language once: its pair side and its outer,
 inner and noise phrases are laid end to end in one
-:class:`~xlembed.embeddings.SpanComposition`, whose values split back into
-one view per set, and its backward is the language's one gradient source
-in the accumulator. Every span sums on its own and no Bi bigram crosses a
+:class:`~xlembed.embeddings.SpanComposition`, next to one upstream array of
+the same shape. Both split into one view per set; the terms are plain maths
+on the value views that write the upstream views, and the composition's
+backward over that one upstream is the language's one gradient source in
+the accumulator. Every span sums on its own and no Bi bigram crosses a
 span, so each value, and each gradient cell's order of terms, is that of
-the sets composed one by one. The terms themselves are plain maths on
-those values.
+the sets composed one by one.
 
 The path is dimension-major: compositions and the gradient accumulator work
 one block of embedding columns at a time, and no per-position value or
 gradient outlives a block. It reads the tables in place, correct on any
 layout; :func:`xlembed.trainer.train` keeps them column-major, so each
-block reads contiguous memory. The regularizer's rows are gathered, and its
-gradient added, one block of rows at a time. The blocks of one call run
-side by side on one thread per usable core
-(:func:`xlembed.embeddings.run_blocks`); each writes only its own columns or
-rows, so losses and gradients are bit-identical whatever the thread count,
-and there is nothing to tune. The loss alone (:func:`batch_loss`) stops
-before the backward: the regularizer's touched rows come from the sampled
-ids, not from the coalesced gradient.
+block reads contiguous memory. The regularizer keeps no rows: its loss
+squares the gathered touched rows in place, and its gradient gathers them
+again from the still unchanged tables once the data gradient is summed,
+both one block of rows at a time. The blocks of one call run side by side
+on one thread per usable core (:func:`xlembed.embeddings.run_blocks`); each
+writes only its own columns or rows, so losses and gradients are
+bit-identical whatever the thread count, and there is nothing to tune. The
+loss alone (:func:`batch_loss`) stops before the backward: the
+regularizer's touched rows come from the sampled ids, not from the
+coalesced gradient.
 """
 
 from __future__ import annotations
@@ -143,18 +146,22 @@ def _unique_inverse(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # batch loss and gradient
 
 
-def _pair_term(v1: np.ndarray, v2: np.ndarray):
-    """Sum of squared distances between the rows of v1 and v2, and the
-    upstream gradients of the two sides."""
+def _pair_term(side1, side2) -> float:
+    """Sum of squared distances between the rows of two ``(values,
+    upstream)`` view pairs; writes each side's upstream gradient."""
+    (v1, up1), (v2, up2) = side1, side2
     diff = v1 - v2
-    return float((diff * diff).sum()), 2.0 * diff, -2.0 * diff
+    np.multiply(diff, 2.0, out=up1)
+    np.multiply(diff, -2.0, out=up2)
+    return float((diff * diff).sum())
 
 
-def _triple_term(vo, vi, vn, batch: TripleBatch, margin: float):
+def _triple_term(outer, inner, noise, batch: TripleBatch, margin: float) -> float:
     """Sum of [max(0, margin + d_in - d_no) + d_in] * len_inner / len_outer
-    over the triples composed to the rows vo, vi and vn, and the upstream
-    gradients of the outer, inner and noise phrases; at the hinge kink the
-    inactive branch is used."""
+    over the triples whose outer, inner and noise phrases are the
+    ``(values, upstream)`` view pairs given; writes their upstream
+    gradients. At the hinge kink the inactive branch is used."""
+    (vo, up_out), (vi, up_in), (vn, up_noise) = outer, inner, noise
     diff_in = vo - vi
     diff_no = vo - vn
     d_in = (diff_in * diff_in).sum(axis=1)
@@ -165,60 +172,60 @@ def _triple_term(vo, vi, vn, batch: TripleBatch, margin: float):
     loss = float(((np.where(active, hinge, 0.0) + d_in) * ratio).sum())
     a = active.astype(np.float64)
     r = ratio[:, None]
-    up_out = r * ((1.0 + a)[:, None] * 2.0 * diff_in - a[:, None] * 2.0 * diff_no)
-    up_in = -r * (1.0 + a)[:, None] * 2.0 * diff_in
-    up_noise = (a * ratio)[:, None] * 2.0 * diff_no
-    return loss, up_out, up_in, up_noise
+    up_out[...] = r * ((1.0 + a)[:, None] * 2.0 * diff_in - a[:, None] * 2.0 * diff_no)
+    up_in[...] = -r * (1.0 + a)[:, None] * 2.0 * diff_in
+    up_noise[...] = (a * ratio)[:, None] * 2.0 * diff_no
+    return loss
 
 
-def _compose(kind, matrix: np.ndarray, span_sets: list[SpanSet]):
-    """One :class:`SpanComposition` over span sets laid end to end, and its
-    values split into one view per set. Each span sums on its own and Bi
-    zeroes every span's last bigram, so no term crosses from one set into
-    the next: every value is that of its set composed alone. A single set
-    is composed as it is."""
-    if len(span_sets) == 1:
-        composition = SpanComposition(kind, matrix, span_sets[0])
-        return composition, [composition.values]
-    joined = SpanSet(
-        np.concatenate([s.ids for s in span_sets]),
-        np.concatenate([s.lengths for s in span_sets]),
+def _compose(acc: GradientAccumulator, kind, table, span_sets: list[SpanSet]):
+    """Composes a language's span sets laid end to end in one
+    :class:`SpanComposition`, added to ``acc`` as the language's gradient
+    source with one upstream array, and returns one ``(values, upstream)``
+    view pair per set; the terms write the upstream views. Each span sums
+    on its own and Bi zeroes every span's last bigram, so every value is
+    that of its set composed alone. A single set is composed as it is."""
+    joined = span_sets[0] if len(span_sets) == 1 else SpanSet(
+        np.concatenate([s.ids for s in span_sets]), np.concatenate([s.lengths for s in span_sets])
     )
-    composition = SpanComposition(kind, matrix, joined)
-    return composition, np.split(composition.values, np.cumsum([s.n for s in span_sets[:-1]]))
+    composition = SpanComposition(kind, table.matrix, joined)
+    upstream = np.empty_like(composition.values)
+    acc.add(table.language_tag, composition.span.ids, partial(composition.position_grads, upstream))
+    bounds = np.cumsum([s.n for s in span_sets[:-1]])
+    return zip(np.split(composition.values, bounds), np.split(upstream, bounds))
 
 
-def _gather_squares(matrix: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``matrix[ids]`` and its elementwise square as C-ordered arrays,
-    gathered one block of rows at a time on the block pool."""
+def _squared_norm(matrix: np.ndarray, ids: np.ndarray) -> float:
+    """Sum of the squares of the rows ``matrix[ids]``: gathered into one
+    C-ordered array and squared in place, one block of rows at a time on
+    the block pool, then summed once over the whole array."""
     rows = np.empty((ids.size, matrix.shape[1]), dtype=matrix.dtype)
-    squares = np.empty_like(rows)
 
     def block(part):
-        rows[part] = matrix[ids[part]]
-        np.multiply(rows[part], rows[part], out=squares[part])
+        view = rows[part]
+        view[...] = matrix[ids[part]]
+        np.multiply(view, view, out=view)
 
     run_blocks(block, cell_blocks(*rows.shape))
-    return rows, squares
+    return float(rows.sum())
 
 
-def _add_scaled(summed: np.ndarray, scale: float, rows: np.ndarray) -> None:
-    """``summed += scale * rows``, one block of rows at a time on the block
-    pool."""
+def _add_scaled_rows(summed: np.ndarray, scale: float, matrix: np.ndarray, ids: np.ndarray) -> None:
+    """``summed += scale * matrix[ids]``, one block of rows at a time on the pool."""
 
     def block(part):
         view = summed[part]
-        view += scale * rows[part]
+        view += scale * matrix[ids[part]]
 
-    run_blocks(block, cell_blocks(*rows.shape))
+    run_blocks(block, cell_blocks(*summed.shape))
 
 
 def _batch_loss(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, lam):
     """The loss half of :func:`batch_loss_and_grad`: the composed terms, and
     the regularizer on the touched rows, found from the composed ids before
     any gradient is computed. Returns the breakdown, the accumulator holding
-    the backward, and per touched language ``(lam_eff, rows)`` for the
-    regularizer's gradient."""
+    the backward, and the regularizer's ``lam_eff``, or None when it adds
+    nothing (``lam == 0`` or no row touched)."""
     kind = CompositionKind.coerce(kind)
     if margin < 0:
         raise DataError(f"margin must be >= 0, got {margin}")
@@ -236,7 +243,7 @@ def _batch_loss(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, marg
         raise DataError(f"mono_samples_l2 carries tag {triple_l2.language_tag!r}, expected {tag2!r}")
 
     # each language's span sets, composed together in the order pair side,
-    # outer, inner, noise; the terms take their values back in that order
+    # outer, inner, noise; the terms take their views back in that order
     span_sets: dict[str, list[SpanSet]] = {}
     if pair_batch:
         span_sets.setdefault(pair_batch.tag_l1, []).append(pair_batch.side_l1)
@@ -246,39 +253,24 @@ def _batch_loss(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, marg
             span_sets.setdefault(triple.language_tag, []).extend(
                 (triple.outer, triple.inner, triple.noise)
             )
-    compositions, values = {}, {}
-    for tag, sets in span_sets.items():
-        compositions[tag], views = _compose(kind, tables.by_tag(tag).matrix, sets)
-        values[tag] = iter(views)
-    upstreams: dict[str, list[np.ndarray]] = {tag: [] for tag in span_sets}
+    views = {tag: _compose(acc, kind, tables.by_tag(tag), sets) for tag, sets in span_sets.items()}
 
     l_bi, l_mono = 0.0, [0.0, 0.0]
     if pair_batch:
-        t1, t2 = pair_batch.tag_l1, pair_batch.tag_l2
-        l_bi, up1, up2 = _pair_term(next(values[t1]), next(values[t2]))
-        upstreams[t1].append(up1)
-        upstreams[t2].append(up2)
+        l_bi = _pair_term(next(views[pair_batch.tag_l1]), next(views[pair_batch.tag_l2]))
     for i, triple in enumerate((triple_l1, triple_l2)):
         if triple:
-            views = values[triple.language_tag]
-            l_mono[i], *ups = _triple_term(next(views), next(views), next(views), triple, margin)
-            upstreams[triple.language_tag].extend(ups)
-    for tag, composition in compositions.items():
-        ups = upstreams.pop(tag)
-        upstream = ups[0] if len(ups) == 1 else np.concatenate(ups)
-        acc.add(tag, composition.span.ids, partial(composition.position_grads, upstream))
+            l_mono[i] = _triple_term(*views[triple.language_tag], triple, margin)
 
     touched = acc.touched()
-    reg, reg_rows = 0.0, {}
     n_touched = sum(ids.size for ids in touched.values())
+    reg, lam_eff = 0.0, None
     if lam > 0.0 and n_touched:
         lam_eff = lam * n_touched / tables.total_rows
         for tag in (tag1, tag2):
             if tag in touched:
-                rows, squares = _gather_squares(tables.by_tag(tag).matrix, touched[tag])
-                reg += lam_eff * float(squares.sum())
-                reg_rows[tag] = (lam_eff, rows)
-    return LossBreakdown.of(l_bi, *l_mono, reg), acc, reg_rows
+                reg += lam_eff * _squared_norm(tables.by_tag(tag).matrix, touched[tag])
+    return LossBreakdown.of(l_bi, *l_mono, reg), acc, lam_eff
 
 
 def batch_loss_and_grad(
@@ -302,14 +294,16 @@ def batch_loss_and_grad(
     lam_eff * ||w||^2 with gradient 2 * lam_eff * w, where
     lam_eff = lam * touched_rows / total_rows.
     """
-    loss, acc, reg_rows = _batch_loss(
+    loss, acc, lam_eff = _batch_loss(
         bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, lam
     )
     grads = acc.coalesce()
-    # regularizer rows are added after the data sums, so every per-row sum
-    # keeps a fixed order
-    for tag, (lam_eff, rows) in reg_rows.items():
-        _add_scaled(grads[tag][1], 2.0 * lam_eff, rows)
+    # the regularizer's rows are gathered again from the tables, which no
+    # step has written yet, and added after the data sums, so every per-row
+    # sum keeps a fixed order
+    if lam_eff is not None:
+        for tag, (ids, summed) in grads.items():
+            _add_scaled_rows(summed, 2.0 * lam_eff, tables.by_tag(tag).matrix, ids)
     return loss, grads
 
 

@@ -287,37 +287,71 @@ def _read_archive(path) -> dict[str, np.ndarray]:
         raise DataError(f"{path} is not a readable checkpoint archive")
 
 
+def _config_fields(array) -> dict | None:
+    raw = json.loads(str(array))
+    if not isinstance(raw, dict):
+        return None
+    if raw.get("mix") is not None:
+        raw["mix"] = tuple(raw["mix"])
+    return raw
+
+
+def _rng_of(array) -> np.random.Generator:
+    rng = np.random.default_rng()
+    rng.bit_generator.state = json.loads(str(array))
+    return rng
+
+
 def load_checkpoint(path):
-    """Returns (tables, state, config, epoch, rng) restored bit-exactly."""
+    """Returns (tables, state, config, epoch, rng) restored bit-exactly. A
+    member that is missing, has the wrong shape or does not parse is a
+    DataError naming the path and the member."""
     z = _read_archive(path)
     if "magic" not in z or str(z["magic"]) != CHECKPOINT_MAGIC:
         raise DataError(f"{path} is not a checkpoint file")
     missing = [name for name in CHECKPOINT_MEMBERS if name not in z]
     if missing:
         raise DataError(f"{path}: checkpoint lacks {', '.join(missing)}")
-    version = int(z["version"])
+
+    def member(name, expected, read):
+        """``read(z[name])``; a failure or a None result is a DataError."""
+        try:
+            value = read(z[name])
+        except (ValueError, TypeError, KeyError):  # bad JSON, int() or RNG state
+            value = None
+        if value is None:
+            raise DataError(f"{path}: checkpoint member {name!r} is not {expected}")
+        return value
+
+    def integer(a):
+        return int(a) if a.ndim == 0 and a.dtype.kind in "iu" else None
+
+    def floats(name, expected, shape_ok):
+        return member(name, expected, lambda a: a if shape_ok(a) and a.dtype.kind == "f" else None)
+
+    version = member("version", "an integer", integer)
     if version != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
-    tag1, tag2 = (str(t) for t in z["tags"])
-    tables = TablePair(
-        EmbeddingTable(z["table_l1"], tag1), EmbeddingTable(z["table_l2"], tag2)
+    tag1, tag2 = member("tags", "two language tags",
+                        lambda a: [str(t) for t in a] if a.shape == (2,) else None)
+    t1, t2 = (floats(name, "a 2-D float table", lambda a: a.ndim == 2)
+              for name in ("table_l1", "table_l2"))
+    g1, g2 = (
+        floats(name, f"an accumulator of its table's shape {t.shape}", lambda a: a.shape == t.shape)
+        for name, t in (("g_l1", t1), ("g_l2", t2))
     )
-    state = AdaGradState({tag1: z["g_l1"], tag2: z["g_l2"]})
-    for name, array in (("l1 table", tables.l1.matrix), ("l2 table", tables.l2.matrix),
-                        ("l1 accumulator", state.g_by_tag[tag1]),
-                        ("l2 accumulator", state.g_by_tag[tag2])):
+    for name, array in zip(("table_l1", "table_l2", "g_l1", "g_l2"), (t1, t2, g1, g2)):
         if not np.isfinite(array).all():
-            raise DataError(f"{path}: checkpoint {name} holds non-finite values")
-    raw = json.loads(str(z["config"]))
+            raise DataError(f"{path}: checkpoint member {name!r} holds non-finite values")
+    tables = TablePair(EmbeddingTable(t1, tag1), EmbeddingTable(t2, tag2))
+    state = AdaGradState({tag1: g1, tag2: g2})
+    raw = member("config", "a JSON object of settings", _config_fields)
     unknown = sorted(set(raw) - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise DataError(f"{path}: checkpoint config has unknown keys {unknown}")
-    if raw.get("mix") is not None:
-        raw["mix"] = tuple(raw["mix"])
     config = TrainConfig(**raw)
-    epoch = int(z["epoch"])
-    rng = np.random.default_rng()
-    rng.bit_generator.state = json.loads(str(z["rng_state"]))
+    epoch = member("epoch", "an integer", integer)
+    rng = member("rng_state", "a JSON PCG64 generator state", _rng_of)
     return tables, state, config, epoch, rng
 
 

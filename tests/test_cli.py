@@ -343,6 +343,40 @@ class TestTrainCommand:
         assert code == 2
         assert "threads" in capsys.readouterr().err
 
+    def test_accumulator_wider_than_table_is_data_error(self, prepared, tmp_path, capsys):
+        outdir = tmp_path / "model"
+        assert main(train_args(prepared, outdir)) == 0
+        ck = outdir / "checkpoint.npz"
+        with np.load(ck) as z:
+            arrays = dict(z)
+        rows, dim = arrays["table_l1"].shape
+        arrays["g_l1"] = np.zeros((rows, dim + 1))
+        np.savez(ck, **arrays)
+        capsys.readouterr()
+        code = main(train_args(prepared, tmp_path / "resumed", "--resume-from", str(ck)))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{ck}: checkpoint member 'g_l1'" in err
+
+
+# checkpoint member -> a malformed value for it, made from the good archive
+MALFORMED_MEMBERS = [
+    ("version", lambda z: np.array("one")),
+    ("tags", lambda z: np.array(["en"])),
+    ("tags", lambda z: np.array("en")),
+    ("table_l1", lambda z: np.zeros(4)),
+    ("table_l2", lambda z: np.array([["a", "b"]])),
+    ("g_l2", lambda z: np.zeros((z["table_l2"].shape[0], z["table_l2"].shape[1] + 1))),
+    ("config", lambda z: np.array("{not json")),
+    ("config", lambda z: np.array("[1, 2]")),
+    ("config", lambda z: np.array(json.dumps({**json.loads(str(z["config"])), "mix": 5}))),
+    ("epoch", lambda z: np.array([1, 2])),
+    ("epoch", lambda z: np.array(1.5)),
+    ("rng_state", lambda z: np.array("not json")),
+    ("rng_state", lambda z: np.array(json.dumps({"bit_generator": "MT19937"}))),
+    ("rng_state", lambda z: np.array(json.dumps({"bit_generator": "PCG64"}))),
+]
+
 
 class TestExportCommand:
     def test_export_matches_train_export(self, prepared, tmp_path):
@@ -388,6 +422,27 @@ class TestExportCommand:
         assert err.count("\n") == 1
         assert str(bad) in err
 
+    @pytest.mark.parametrize("member, malformed", MALFORMED_MEMBERS,
+                             ids=[f"{m}-{i}" for i, (m, _) in enumerate(MALFORMED_MEMBERS)])
+    def test_malformed_member_is_data_error(self, model_dir, prepared, tmp_path, capsys,
+                                            member, malformed):
+        with np.load(model_dir / "checkpoint.npz") as z:
+            arrays = dict(z)
+        arrays[member] = malformed(arrays)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        capsys.readouterr()
+        code = main([
+            "export", "--checkpoint", str(bad),
+            "--vocab-l1", str(prepared / "en.vocab"), "--vocab-l2", str(prepared / "de.vocab"),
+            "--outdir", str(tmp_path / "exported"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{bad}: checkpoint member {member!r} is not" in err
+        assert not (tmp_path / "exported").exists()
+
 
 @pytest.fixture
 def model_dir(prepared, tmp_path):
@@ -404,6 +459,9 @@ MALFORMED_VEC = {
     "2 2\n<unk> 0.0 0.0\nfoo 1.0 inf\n": "bad.vec:3: non-finite",
     "3 2\n<unk> 0.0 0.0\nfoo 1.0 2.0\n": "bad.vec: header promises 3 rows, the file holds 2",
     "2 0\n<unk>\nfoo\n": "bad.vec:1: header gives dim 0, expected >= 1",
+    "2 2\n<unk> 0.0 0.0\nfoo 1.0\n": "bad.vec:3: row 1 has 1 values, expected 2",
+    "2 2\n<unk> 0.0 0.0\nfoo 1.0 2.0\nbar 3.0 4.0\n": "bad.vec:4: a row past the 2 rows the header gives",
+    "2 2\n<unk> 0.0 0.0\nfoo 1.0 2.0\n\nbar 3.0 4.0\n": "bad.vec:5: a row past the 2 rows the header gives",
     # 1e11 rows fail at allocation at once; no size that might be allocated is tried
     "100000000000 40\nfoo 1.0\n": (
         "bad.vec:1: header gives 100000000000 x 40 values, too many to allocate"

@@ -352,6 +352,28 @@ class TestEmbeddingTextFormat:
         assert loaded_tokens == tokens
         assert (loaded == matrix).all()  # repr round-trips float64 exactly
 
+    def test_rows_are_the_repr_of_each_value(self, tmp_path):
+        rng = np.random.default_rng(9)
+        matrix = rng.normal(scale=1e3, size=(6, 4))
+        matrix[1] = [0.0, -0.0, 1e-300, -5e-324]
+        matrix[2] = [1e300, -1.7976931348623157e308, 0.1, 123456789.0]
+        tokens = ["<unk>"] + [f"tok{i}" for i in range(5)]
+        path = tmp_path / "e.vec"
+        save_embeddings_text(path, tokens, np.asfortranarray(matrix))
+        expected = "6 4\n" + "".join(
+            token + "".join(f" {float(v)!r}" for v in row) + "\n"
+            for token, row in zip(tokens, matrix)
+        )
+        assert path.read_text() == expected
+        save_embeddings_text(path, ["<unk>", "a"], np.array([[1, -2], [0, 3]]))
+        assert path.read_text() == "2 2\n<unk> 1.0 -2.0\na 0.0 3.0\n"
+
+    def test_blank_lines_after_the_rows_are_accepted(self, tmp_path):
+        path = tmp_path / "e.vec"
+        path.write_text("1 2\ntok 0.5 1.5\n\n  \n")
+        tokens, matrix = load_embeddings_text(path)
+        assert tokens == ["tok"] and matrix.tolist() == [[0.5, 1.5]]
+
     def test_header_format(self, tmp_path):
         path = tmp_path / "e.vec"
         save_embeddings_text(path, ["<unk>", "a"], np.zeros((2, 3)))
