@@ -364,19 +364,13 @@ def _load_training_data(data_dir: str, settings: dict) -> TrainingData:
     if settings["mono_use_parallel"]:
         for tag, side in ((tag1, parallel.l1), (tag2, parallel.l2)):
             mono[tag] = mono[tag].concat(side) if tag in mono else side
-    for vocab, corpora in (
-        (vocab_l1, (parallel.l1, mono.get(tag1))),
-        (vocab_l2, (parallel.l2, mono.get(tag2))),
-    ):
-        for enc in corpora:
-            if enc is None or not enc.n_tokens:
-                continue
-            for bad in (int(enc.flat.min()), int(enc.flat.max())):
-                if not 0 <= bad < len(vocab):
-                    raise DataError(
-                        f"{enc.language_tag!r} corpus references id {bad} "
-                        f"outside the vocabulary (size {len(vocab)})"
-                    )
+    for vocab, enc in ((vocab_l1, parallel.l1), (vocab_l1, mono.get(tag1)),  # ids >= 0 already
+                       (vocab_l2, parallel.l2), (vocab_l2, mono.get(tag2))):
+        if enc is not None and enc.n_tokens and enc.flat.max() >= len(vocab):
+            raise DataError(
+                f"{enc.language_tag!r} corpus references id {enc.flat.max()} "
+                f"outside the vocabulary (size {len(vocab)})"
+            )
     return TrainingData(vocab_l1, vocab_l2, parallel, mono.get(tag1), mono.get(tag2))
 
 

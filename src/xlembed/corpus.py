@@ -245,7 +245,8 @@ def encode(
 
 
 class EncodedCorpus:
-    """Encoded sentences of one language, stored flat with offsets.
+    """Encoded sentences of one language, stored flat with offsets. Every
+    sentence holds at least one word, and every id is >= 0.
 
     Read-only after construction; safe to share across samplers and workers.
     """
@@ -257,6 +258,10 @@ class EncodedCorpus:
 
     def _set(self, flat, lengths, language_tag: str) -> "EncodedCorpus":
         """Every construction ends here: int32 ids end to end, int64 lengths."""
+        if lengths.size and lengths.min() < 1:
+            raise DataError(f"{language_tag!r} corpus sentence {lengths.argmin()} holds no words")
+        if flat.size and flat.min() < 0:
+            raise DataError(f"{language_tag!r} corpus holds the negative id {flat.min()}")
         self.language_tag, self.flat, self.lengths = language_tag, flat, lengths
         self.offsets = np.concatenate([[0], np.cumsum(lengths)])
         # only sentences long enough to host a phrase are sampled monolingually
@@ -389,9 +394,8 @@ class PairBatch:
 
 def _gather_spans(flat: np.ndarray, abs_starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Collect flat[start:start+len] for many spans into one flat array."""
-    total = int(lengths.sum())
     seg_off = np.cumsum(lengths) - lengths
-    pos = np.arange(total) - np.repeat(seg_off, lengths) + np.repeat(abs_starts, lengths)
+    pos = np.arange(int(lengths.sum())) + np.repeat(abs_starts - seg_off, lengths)
     return flat[pos].astype(np.int64, copy=False)
 
 

@@ -175,35 +175,10 @@ def run_blocks(block, blocks: list[slice]) -> None:
         future.result()
 
 
-def _segment_starts(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The mask of the non-empty segments of ``lengths`` and the flat start
-    of each. ``np.add.reduceat`` cannot express an empty segment, so only
-    these are summed; :func:`_with_empty_segments` gives the empty ones a
-    zero sum."""
-    filled = lengths > 0
-    return filled, lengths.cumsum()[filled] - lengths[filled]
-
-
-def _with_empty_segments(sums: np.ndarray, filled: np.ndarray) -> np.ndarray:
-    """The sums of the non-empty segments along the last axis, with a zero
-    column for every empty segment."""
-    if filled.all():
-        return sums
-    out = np.zeros(sums.shape[:-1] + filled.shape, dtype=sums.dtype)
-    out[..., filled] = sums
-    return out
-
-
-def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Sums of consecutive variable-length segments along the last axis of
-    ``values``, one column per segment; empty segments sum to zero."""
-    filled, starts = _segment_starts(lengths)
-    return _with_empty_segments(np.add.reduceat(values, starts, axis=-1), filled)
-
-
 class SpanComposition:
     """Composed vectors for a batch of spans, and the backward that pushes a
-    per-span upstream gradient down to per-position gradients.
+    per-span upstream gradient down to per-position gradients. Every span
+    holds at least one word; an empty one is a CompositionError.
 
     The work is dimension-major: each block of columns (:func:`cell_blocks`)
     gathers its columns for every position from ``matrix.T``; the blocks run
@@ -224,22 +199,24 @@ class SpanComposition:
 
     def __init__(self, kind, matrix: np.ndarray, span: SpanSet):
         self.kind = CompositionKind.coerce(kind)
+        if span.n and span.lengths.min() < 1:
+            raise CompositionError(f"span {span.lengths.argmin()} holds no words")
         self.span = span
         self._columns = matrix.T
-        filled, starts = _segment_starts(span.lengths)
+        starts = span.lengths.cumsum() - span.lengths
         if self.kind is CompositionKind.BI:
             # bigram p joins positions p and p + 1; none starts at a span's
             # last position, so that slot holds zero
-            self._last = starts + span.lengths[filled] - 1
+            self._last = starts + span.lengths - 1
         self._span_of = np.repeat(np.arange(span.n), span.lengths)
         dim = self._columns.shape[0]
-        sums = np.empty((dim, starts.size), dtype=matrix.dtype)
+        sums = np.empty((dim, span.n), dtype=matrix.dtype)
 
         def block(cols):
             np.add.reduceat(self._block(cols), starts, axis=-1, out=sums[cols])
 
         run_blocks(block, cell_blocks(dim, span.ids.size))
-        self.values = np.ascontiguousarray(_with_empty_segments(sums, filled).T)
+        self.values = np.ascontiguousarray(sums.T)
         if self.kind is CompositionKind.ADD:
             self._columns = None  # the Add backward reads no table
 
@@ -278,8 +255,8 @@ class SpanComposition:
 def compose_documents(documents, matrix: np.ndarray, kind) -> np.ndarray:
     """Two-level composition of documents, each a list of encoded id arrays,
     one row per document: a :class:`SpanComposition` over every sentence of
-    the set, then one over the sentence vectors. A one-word sentence under
-    Bi composes to zero, so corpora with one-token sentences do not abort."""
+    the set, each of at least one word, then one over the sentence vectors.
+    A one-word sentence under Bi composes to zero, so it does not abort."""
     kind = CompositionKind.coerce(kind)
     if not documents:
         raise CompositionError("cannot compose an empty document set")
@@ -290,8 +267,6 @@ def compose_documents(documents, matrix: np.ndarray, kind) -> np.ndarray:
         raise CompositionError("Bi document composition needs at least two sentences")
     sentences = [ids for doc in documents for ids in doc]
     lengths = np.array([len(ids) for ids in sentences], dtype=np.int64)
-    if not lengths.all():
-        raise CompositionError("cannot compose an empty sentence")
     words = SpanSet(np.concatenate(sentences), lengths)
     sentence_vectors = SpanComposition(kind, matrix, words).values
     by_document = SpanSet(np.arange(lengths.size), n_sentences)

@@ -12,12 +12,15 @@ boundary.
 from __future__ import annotations
 
 import json
+import numbers
+import os
 import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .corpus import (
+    MIN_SPAN_LEN,
     EncodedCorpus,
     ParallelCorpus,
     Vocabulary,
@@ -67,26 +70,28 @@ class TrainConfig:
         return float(self.dim if self.margin is None else self.margin)
 
     def validate(self) -> None:
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, low in (("dim", 1), ("batch_size", 1), ("epochs_bi_only", 0),
+                          ("epochs_with_mono", 0), ("epochs", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not (_is_number(value, numbers.Integral) or value is None and name == "epochs"):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value is not None and value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
         # every comparison with NaN is false: test finiteness first
         for name, value, bound in (
             ("learning_rate", self.learning_rate, "> 0"),
-            ("margin", self.resolved_margin(), ">= 0"),
+            ("margin", self.dim if self.margin is None else self.margin, ">= 0"),
             ("lambda", self.lam, ">= 0"),
             ("adagrad_epsilon", self.adagrad_epsilon, "> 0"),
             ("init_sigma", self.init_sigma, "> 0"),
         ):
+            if not _is_number(value):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
             if not (np.isfinite(value) and (value > 0 or value == 0 and bound == ">= 0")):
                 raise ConfigError(f"{name} must be finite and {bound}, got {value}")
-        for name in ("epochs_bi_only", "epochs_with_mono", "epochs"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
         if self.mix is not None:
-            if len(self.mix) != 3 or not all(np.isfinite(f) and f >= 0 for f in self.mix):
+            if not (isinstance(self.mix, (tuple, list)) and len(self.mix) == 3
+                    and all(_is_number(f) and np.isfinite(f) and f >= 0 for f in self.mix)):
                 raise ConfigError(f"mix must be three finite fractions >= 0, got {self.mix}")
             if abs(sum(self.mix) - 1.0) > 1e-9:
                 raise ConfigError(f"mix fractions must sum to 1, got {self.mix}")
@@ -94,6 +99,10 @@ class TrainConfig:
             CompositionKind.coerce(self.composition)
         except DataError as exc:
             raise ConfigError(str(exc))
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def proportional_mix(n_bi: int, n_mono_l1: int, n_mono_l2: int) -> tuple[float, float, float]:
@@ -207,11 +216,23 @@ class TrainingData:
         return self.mono_l1 is not None or self.mono_l2 is not None
 
 
+def _check_batch_fits(data: TrainingData, config: TrainConfig, mix) -> None:
+    """Refuse a batch whose int64 span ids alone, bounded below, exceed physical memory."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # not reported on this platform
+        return
+    n_bi, n_m1, n_m2 = (round(config.batch_size * fraction) for fraction in mix)
+    pair_words = (data.parallel.l1.n_tokens + data.parallel.l2.n_tokens) / max(len(data.parallel), 1)
+    words = n_bi * pair_words + (n_m1 + n_m2) * 3 * MIN_SPAN_LEN
+    if 8 * words > memory:
+        raise ConfigError(f"batch_size {config.batch_size} needs {8 * words / 2**30:.3g} GiB of span "
+                          f"ids per batch, more than the {memory / 2**30:.3g} GiB of physical memory")
+
+
 def make_batch(data: TrainingData, config: TrainConfig, mix, rng) -> Batch:
     """Draw round(batch_size * fraction) samples from each configured source."""
-    n_bi = round(config.batch_size * mix[0])
-    n_m1 = round(config.batch_size * mix[1])
-    n_m2 = round(config.batch_size * mix[2])
+    n_bi, n_m1, n_m2 = (round(config.batch_size * fraction) for fraction in mix)
     batch = Batch()
     if n_bi:
         batch.pairs = sample_bilingual_pairs(data.parallel, rng, n_bi)
@@ -350,6 +371,10 @@ def load_checkpoint(path):
     if unknown:
         raise DataError(f"{path}: checkpoint config has unknown keys {unknown}")
     config = TrainConfig(**raw)
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise DataError(f"{path}: checkpoint member 'config' is not valid: {exc}")
     epoch = member("epoch", "an integer", integer)
     rng = member("rng_state", "a JSON PCG64 generator state", _rng_of)
     return tables, state, config, epoch, rng
@@ -395,6 +420,7 @@ def train(
     for frac, size, name in zip(mix, sizes, ("bilingual", "mono_l1", "mono_l2")):
         if frac > 0 and size == 0:
             raise ConfigError(f"mix places weight on absent corpus {name}")
+    _check_batch_fits(data, config, mix)
 
     if resume_from is not None:
         tables, state, saved_config, start_epoch, rng = load_checkpoint(resume_from)

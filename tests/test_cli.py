@@ -214,6 +214,15 @@ class TestTrainCommand:
         assert err.count("\n") == 1
         assert not (outdir / "checkpoint.npz").exists()
 
+    def test_batch_beyond_physical_memory_is_usage_error(self, prepared, tmp_path, capsys):
+        # refused from a bound on the sampled ids before anything is allocated
+        outdir = tmp_path / "model"
+        assert main(train_args(prepared, outdir, "--batch-size", "1000000000000")) == 1
+        err = capsys.readouterr().err
+        assert "batch_size 1000000000000 needs" in err and "of physical memory" in err
+        assert err.count("\n") == 1
+        assert not (outdir / "checkpoint.npz").exists()
+
     @pytest.mark.parametrize("bad_id", ["-1", "100000"])
     def test_id_outside_vocabulary_is_data_error(self, prepared, tmp_path, bad_id):
         append_to_first_line(prepared / "bi.de.ids", bad_id)
@@ -326,6 +335,13 @@ class TestTrainCommand:
         assert err.count("\n") == 1 and f"{name} must be >= 0, got -1" in err
         assert not outdir.exists()
 
+    def test_negative_seed_is_usage_error(self, prepared, tmp_path, capsys):
+        outdir = tmp_path / "model"
+        assert main(train_args(prepared, outdir, "--seed", "-1")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed must be >= 0, got -1" in err
+        assert not outdir.exists()
+
     def test_checkpoint_with_unknown_config_key_is_data_error(self, prepared, tmp_path, capsys):
         outdir = tmp_path / "model"
         assert main(train_args(prepared, outdir)) == 0
@@ -375,7 +391,18 @@ MALFORMED_MEMBERS = [
     ("rng_state", lambda z: np.array("not json")),
     ("rng_state", lambda z: np.array(json.dumps({"bit_generator": "MT19937"}))),
     ("rng_state", lambda z: np.array(json.dumps({"bit_generator": "PCG64"}))),
+    ("config", lambda z: config_with(z, dim="forty")),
+    ("config", lambda z: config_with(z, batch_size=1.5)),
+    ("config", lambda z: config_with(z, lam=True)),
+    ("config", lambda z: config_with(z, seed=None)),
+    ("config", lambda z: config_with(z, mix=["a", 0.5, 0.5])),
+    ("config", lambda z: config_with(z, dim=0)),
 ]
+
+
+def config_with(arrays, **settings):
+    """The checkpoint's config member with ``settings`` replaced."""
+    return np.array(json.dumps({**json.loads(str(arrays["config"])), **settings}))
 
 
 class TestExportCommand:

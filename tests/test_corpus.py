@@ -224,6 +224,21 @@ class TestEncodedCorpus:
         assert (loaded.flat == corpus.flat).all()
         assert (loaded.lengths == corpus.lengths).all()
 
+    @pytest.mark.parametrize("sentences, message", [
+        ([[1, 2], [], [3]], "'en' corpus sentence 1 holds no words"),
+        ([[]], "'en' corpus sentence 0 holds no words"),
+        ([[1, 2], [3, -1, -4]], "'en' corpus holds the negative id -4"),
+    ])
+    def test_empty_sentence_or_negative_id_refused(self, sentences, message):
+        with pytest.raises(DataError, match=message):
+            EncodedCorpus(sentences, "en")
+
+    def test_negative_id_in_ids_file_refused(self, tmp_path):
+        path = tmp_path / "c.ids"
+        path.write_text("1 2 3\n4 -1\n")
+        with pytest.raises(DataError, match="negative id -1"):
+            EncodedCorpus.load_ids(path, "en")
+
     def test_parallel_mismatch_raises(self):
         a = EncodedCorpus([np.array([1, 2, 3])], "en")
         b = EncodedCorpus([np.array([1]), np.array([2])], "de")
@@ -243,7 +258,7 @@ class TestEncodedCorpus:
         assert len(par) == 2
         assert par.l1.sentence_ids(1).tolist() == [1, 1, 1]
 
-    SENTENCES = [[4, 1, 2, 3], [], [5], [6, 6], [1, 2, 3], [7, 8, 9, 1, 2], [3, 3, 3]]
+    SENTENCES = [[4, 1, 2, 3], [5], [6, 6], [1, 2, 3], [7, 8, 9, 1, 2], [3, 3, 3]]
 
     @staticmethod
     def assert_same_layout(got, expected):

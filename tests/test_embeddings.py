@@ -18,7 +18,6 @@ from xlembed.embeddings import (
     init_table,
     load_embeddings_text,
     save_embeddings_text,
-    segment_sums,
 )
 from xlembed.errors import CompositionError, DataError
 
@@ -164,6 +163,7 @@ def ids(*values):
 UNCOMPOSABLE = {
     "no documents": ("add", []),
     "empty document": ("add", [[ids(1, 2)], []]),
+    "only an empty document": ("add", [[]]),
     "empty sentence": ("add", [[ids(1, 2), ids()]]),
     "one-sentence Bi document": ("bi", [[ids(1, 2), ids(3)], [ids(1, 2)]]),
 }
@@ -221,11 +221,13 @@ class TestComposeDocument:
 
 
 class TestSpanComposition:
-    def test_segment_sums_with_empty_segment(self):
-        values = np.arange(8.0).reshape(4, 2).T  # two columns over four positions
-        out = segment_sums(values, np.array([0, 2, 0, 2, 0]))
-        assert out.T.tolist() == [[0.0, 0.0], [2.0, 4.0], [0.0, 0.0], [10.0, 12.0], [0.0, 0.0]]
-        assert segment_sums(np.zeros((2, 0)), np.array([0, 0])).tolist() == [[0.0, 0.0]] * 2
+    @pytest.mark.parametrize("kind", ["add", "bi"])
+    @pytest.mark.parametrize("lengths", [[2, 0, 3], [0], [1, 4, -1]])
+    def test_span_without_words_is_refused(self, kind, lengths):
+        span = SpanSet(np.zeros(max(sum(lengths), 0), dtype=np.int64), np.array(lengths))
+        bad = next(i for i, n in enumerate(lengths) if n < 1)
+        with pytest.raises(CompositionError, match=f"span {bad} holds no words"):
+            SpanComposition(kind, np.ones((4, 2)), span)
 
     def test_cell_blocks_cover_every_unit(self, monkeypatch):
         monkeypatch.setattr(embeddings, "BLOCK_CELLS", 100)
@@ -283,18 +285,18 @@ class TestSpanComposition:
     @pytest.mark.parametrize("kind", ["add", "bi"])
     @pytest.mark.parametrize("one_column", [False, True])
     def test_blocks_match_per_column_reference(self, kind, one_column, request):
-        # the forward as segment_sums over one column at a time, the
+        # the forward as np.add.reduceat over one column at a time, the
         # backward expanding the upstream with np.repeat: every bit equal
         if one_column:
             request.getfixturevalue("one_column_blocks")(2)
         rng = np.random.default_rng(12)
-        lengths = np.array([0, 3, 0, 1, 5, 0, 2, 4, 0])
+        lengths = np.array([2, 3, 1, 1, 5, 6, 2, 4, 1])
         matrix = rng.normal(size=(10, 6))
         ids = rng.integers(0, 10, size=lengths.sum())
         upstream = rng.normal(size=(lengths.size, 6))
         batch = SpanComposition(kind, matrix, SpanSet(ids, lengths))
 
-        last = (lengths.cumsum() - 1)[lengths > 0]
+        last = lengths.cumsum() - 1
         values = np.empty((lengths.size, 6))
         grads = np.empty((6, ids.size))
         for j in range(6):
@@ -308,7 +310,7 @@ class TestSpanComposition:
                 d = (1.0 - t * t) * up
                 d[:, last] = 0.0
                 up = np.concatenate([d[:, :1], d[:, 1:] + d[:, :-1]], axis=1)
-            values[:, j] = segment_sums(block, lengths)[0]
+            values[:, j] = np.add.reduceat(block, lengths.cumsum() - lengths, axis=1)[0]
             grads[j] = up[0]
 
         assert batch.values.flags.c_contiguous

@@ -19,7 +19,7 @@ from xlembed.corpus import (
 )
 from xlembed import embeddings, objective
 from xlembed.embeddings import EmbeddingTable, TablePair, init_table
-from xlembed.errors import DataError
+from xlembed.errors import CompositionError, DataError
 from xlembed.objective import (
     GradientAccumulator,
     LossBreakdown,
@@ -476,12 +476,12 @@ def per_set_reference(pairs, mono_l1, mono_l2, tables, kind, margin, lam):
 
 
 def hand_batches():
-    """Small batches with empty spans, one-word spans, and every subset of
-    the three sources, over 6-word tables."""
-    pairs = PairBatch("en", "de", spans([], [1, 2, 3], [4], [], [5, 1]),
-                      spans([2], [], [3, 4, 5, 0], [1, 1], []))
-    mono_l1 = TripleBatch("en", spans([1, 2, 3, 4], [2, 5, 1]), spans([], [5, 1]),
-                          spans([3, 3, 0], []))
+    """Small batches with one-word spans, and every subset of the three
+    sources, over 6-word tables."""
+    pairs = PairBatch("en", "de", spans([0], [1, 2, 3], [4], [3], [5, 1]),
+                      spans([2], [5], [3, 4, 5, 0], [1, 1], [0]))
+    mono_l1 = TripleBatch("en", spans([1, 2, 3, 4], [2, 5, 1]), spans([2], [5, 1]),
+                          spans([3, 3, 0], [4]))
     mono_l2 = TripleBatch("de", spans([4, 1, 0], [2, 2, 2, 3, 5]), spans([4, 1], [2, 3]),
                           spans([5], [0, 1, 2]))
     return {
@@ -491,6 +491,15 @@ def hand_batches():
         "one language": (None, mono_l1, None),
         "pairs and one language": (pairs, None, mono_l2),
     }
+
+
+@pytest.mark.parametrize("kind", ["add", "bi"])
+def test_batch_with_an_empty_span_is_refused(kind):
+    rng = np.random.default_rng(5)
+    tables = tables_of(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
+    pairs = PairBatch("en", "de", spans([1, 2], [3]), spans([4], []))
+    with pytest.raises(CompositionError, match="span 1 holds no words"):
+        batch_loss_and_grad(pairs, None, None, tables, kind, 0.5, 0.7)
 
 
 class TestPerLanguageComposition:

@@ -82,6 +82,27 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(composition="conv").validate()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("dim", "forty", "dim must be an integer, got 'forty'"),
+        ("dim", 40.0, "dim must be an integer, got 40.0"),
+        ("batch_size", True, "batch_size must be an integer, got True"),
+        ("seed", None, "seed must be an integer, got None"),
+        ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("learning_rate", "0.2", "learning_rate must be a number, got '0.2'"),
+        ("margin", [1.0], r"margin must be a number, got \[1.0\]"),
+        ("lam", None, "lambda must be a number, got None"),
+        ("mix", (0.5, "a", 0.5), "mix must be three finite fractions"),
+        ("mix", (0.5, 0.5), "mix must be three finite fractions"),
+        ("mix", "abc", "mix must be three finite fractions"),
+    ])
+    def test_field_types_checked(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            replace(TrainConfig(), **{field: value}).validate()
+
+    def test_numbers_of_any_type_and_derived_defaults_accepted(self):
+        TrainConfig(dim=np.int64(4), learning_rate=1, lam=np.float64(0.5), margin=None,
+                    epochs=None, mix=[0.5, 0.25, 0.25]).validate()
+
     def test_proportional_mix_from_corpus_sizes(self):
         mix = proportional_mix(1_660_000, 4_500_000, 900_000)
         assert tuple(round(f, 3) for f in mix) == (0.235, 0.637, 0.127)
@@ -398,6 +419,23 @@ class TestMakeBatch:
         config = TrainConfig(dim=2, epochs=1, batch_size=4, mix=(0.5, 0.5, 0.0))
         with pytest.raises(ConfigError):
             train(data, config)
+
+    def test_batch_beyond_physical_memory_refused_by_train(self, monkeypatch):
+        # 30 pairs of 3-7 words a side and 50 mono sentences per language:
+        # batch 100 samples at least 7 KiB of span ids, batch 8 under 1 KiB
+        data = small_data()
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
+        monkeypatch.setattr(trainer.os, "sysconf", pages.__getitem__)
+        with pytest.raises(ConfigError, match="batch_size 100 needs .* GiB of physical memory"):
+            train(data, TrainConfig(dim=2, epochs=1, batch_size=100))
+        assert len(train(data, TrainConfig(dim=2, epochs=1, batch_size=8)).history) == round(50 / 8)
+
+    def test_unreported_physical_memory_skips_the_check(self, monkeypatch):
+        def unreported(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(trainer.os, "sysconf", unreported)
+        assert len(train(small_data(), TrainConfig(dim=2, epochs=1, batch_size=100)).history) == 1
 
 
 class TestTrainLoop:
