@@ -156,7 +156,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path, language_tag: str = "") -> "Vocabulary":
-        tokens, counts = [], []
+        tokens, counts, line_of = [], [], {}
         for lineno, line in numbered_lines(path):
             if not line:
                 continue
@@ -165,6 +165,9 @@ class Vocabulary:
                 counts.append(int(count))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: expected 'token<TAB>count' with an integer count")
+            if token in line_of:
+                raise DataError(f"{path}:{lineno}: token {token!r} repeats line {line_of[token]}")
+            line_of[token] = lineno
             tokens.append(token)
         if not tokens or tokens[0] != UNK_TOKEN:
             raise DataError(f"{path}: line 0 must be the UNK token {UNK_TOKEN!r}")

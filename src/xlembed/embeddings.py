@@ -178,7 +178,8 @@ def run_blocks(block, blocks: list[slice]) -> None:
 class SpanComposition:
     """Composed vectors for a batch of spans, and the backward that pushes a
     per-span upstream gradient down to per-position gradients. Every span
-    holds at least one word; an empty one is a CompositionError.
+    holds at least one word and every id is a row of ``matrix``; an empty
+    span or an id outside the rows is a CompositionError.
 
     The work is dimension-major: each block of columns (:func:`cell_blocks`)
     gathers its columns for every position from ``matrix.T``; the blocks run
@@ -199,8 +200,14 @@ class SpanComposition:
 
     def __init__(self, kind, matrix: np.ndarray, span: SpanSet):
         self.kind = CompositionKind.coerce(kind)
-        if span.n and span.lengths.min() < 1:
-            raise CompositionError(f"span {span.lengths.argmin()} holds no words")
+        if span.n:
+            if span.lengths.min() < 1:
+                raise CompositionError(f"span {span.lengths.argmin()} holds no words")
+            low, high = span.ids.min(), span.ids.max()
+            if low < 0 or high >= matrix.shape[0]:
+                raise CompositionError(
+                    f"id {low if low < 0 else high} is not a row of the {matrix.shape[0]}-row table"
+                )
         self.span = span
         self._columns = matrix.T
         starts = span.lengths.cumsum() - span.lengths
@@ -217,8 +224,6 @@ class SpanComposition:
 
         run_blocks(block, cell_blocks(dim, span.ids.size))
         self.values = np.ascontiguousarray(sums.T)
-        if self.kind is CompositionKind.ADD:
-            self._columns = None  # the Add backward reads no table
 
     def _block(self, cols: slice) -> np.ndarray:
         """The (width, n_positions) block whose span sums are ``values``:

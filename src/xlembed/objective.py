@@ -22,15 +22,15 @@ one block of embedding columns at a time, and no per-position value or
 gradient outlives a block. It reads the tables in place, correct on any
 layout; :func:`xlembed.trainer.train` keeps them column-major, so each
 block reads contiguous memory. The regularizer keeps no rows: its loss
-squares the gathered touched rows in place, and its gradient gathers them
-again from the still unchanged tables once the data gradient is summed,
-both one block of rows at a time. The blocks of one call run side by side
-on one thread per usable core (:func:`xlembed.embeddings.run_blocks`); each
-writes only its own columns or rows, so losses and gradients are
-bit-identical whatever the thread count, and there is nothing to tune. The
-loss alone (:func:`batch_loss`) stops before the backward: the
-regularizer's touched rows come from the sampled ids, not from the
-coalesced gradient.
+squares one plain gather of the touched rows in place, and its gradient
+gathers them again, one block of rows at a time, from the still unchanged
+tables once the data gradient is summed. The blocks of one call run side
+by side on one thread per usable core
+(:func:`xlembed.embeddings.run_blocks`); each writes only its own columns
+or rows, so losses and gradients are bit-identical whatever the thread
+count, and there is nothing to tune. The loss alone (:func:`batch_loss`)
+stops before the backward: the regularizer's touched rows come from the
+sampled ids, not from the coalesced gradient.
 """
 
 from __future__ import annotations
@@ -77,11 +77,10 @@ class GradientAccumulator:
     ``grads(cols)`` that returns the gradients of those ids for the column
     slice ``cols`` as a dimension-major (width, ids.size) block. The
     source's unique ids are found when it is added. :meth:`coalesce` asks
-    it for one block of columns at a time and sums the block into the
-    unique rows with one ``bincount`` over flattened (column, row) cells,
-    so no positions x dim gradient is ever built; every cell sums its terms
-    from zero in position order. The blocks run through
-    :func:`xlembed.embeddings.run_blocks`.
+    it for one block of columns at a time and sums each column of the block
+    into the unique rows with one ``bincount``, so no positions x dim
+    gradient is ever built; every cell sums its terms from zero in position
+    order. The blocks run through :func:`xlembed.embeddings.run_blocks`.
     """
 
     def __init__(self, dim: int):
@@ -108,25 +107,18 @@ class GradientAccumulator:
         out = {}
         for tag in list(self._sources):
             unique, inverse, grads = self._sources.pop(tag)
-            summed = np.zeros((unique.size, self.dim), dtype=np.float64)
-            blocks = cell_blocks(self.dim, inverse.size)
-            # (column, row) cells of the first, widest block; a narrower
-            # last block uses a prefix
-            cells = (np.arange(blocks[0].stop)[:, None] * unique.size + inverse).ravel()
+            summed = np.empty((unique.size, self.dim), dtype=np.float64)
 
             def sum_block(cols):
-                width = cols.stop - cols.start
                 block = grads(cols)
-                if block.shape != (width, inverse.size):
+                if block.shape != (cols.stop - cols.start, inverse.size):
                     raise DataError(
                         f"gradient block shape {block.shape} does not match ids {inverse.size}"
                     )
-                sums = np.bincount(
-                    cells[: block.size], weights=block.ravel(), minlength=width * unique.size
-                )
-                summed[:, cols] = sums.reshape(width, unique.size).T
+                for c, column in enumerate(block, start=cols.start):
+                    summed[:, c] = np.bincount(inverse, weights=column, minlength=unique.size)
 
-            run_blocks(sum_block, blocks)
+            run_blocks(sum_block, cell_blocks(self.dim, inverse.size))
             out[tag] = (unique, summed)
         return out
 
@@ -196,17 +188,11 @@ def _compose(acc: GradientAccumulator, kind, table, span_sets: list[SpanSet]):
 
 
 def _squared_norm(matrix: np.ndarray, ids: np.ndarray) -> float:
-    """Sum of the squares of the rows ``matrix[ids]``: gathered into one
-    C-ordered array and squared in place, one block of rows at a time on
-    the block pool, then summed once over the whole array."""
-    rows = np.empty((ids.size, matrix.shape[1]), dtype=matrix.dtype)
-
-    def block(part):
-        view = rows[part]
-        view[...] = matrix[ids[part]]
-        np.multiply(view, view, out=view)
-
-    run_blocks(block, cell_blocks(*rows.shape))
+    """Sum of the squares of the rows ``matrix[ids]``: one gather, which is
+    C-ordered on any layout of ``matrix``, squared in place and summed once
+    over the whole array."""
+    rows = matrix[ids]
+    np.multiply(rows, rows, out=rows)
     return float(rows.sum())
 
 

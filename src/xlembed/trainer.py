@@ -12,6 +12,7 @@ boundary.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import zipfile
@@ -77,6 +78,11 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value is not None and value < low:
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
+        # dim is the default margin, and batch_size is scaled by the mix fractions
+        for name in ("dim", "batch_size"):
+            value = getattr(self, name)
+            if not _finite(value):
+                raise ConfigError(f"{name} is too large for a float, got {value}")
         # every comparison with NaN is false: test finiteness first
         for name, value, bound in (
             ("learning_rate", self.learning_rate, "> 0"),
@@ -87,11 +93,11 @@ class TrainConfig:
         ):
             if not _is_number(value):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
-            if not (np.isfinite(value) and (value > 0 or value == 0 and bound == ">= 0")):
+            if not (_finite(value) and (value > 0 or value == 0 and bound == ">= 0")):
                 raise ConfigError(f"{name} must be finite and {bound}, got {value}")
         if self.mix is not None:
             if not (isinstance(self.mix, (tuple, list)) and len(self.mix) == 3
-                    and all(_is_number(f) and np.isfinite(f) and f >= 0 for f in self.mix)):
+                    and all(_is_number(f) and _finite(f) and f >= 0 for f in self.mix)):
                 raise ConfigError(f"mix must be three finite fractions >= 0, got {self.mix}")
             if abs(sum(self.mix) - 1.0) > 1e-9:
                 raise ConfigError(f"mix fractions must sum to 1, got {self.mix}")
@@ -103,6 +109,14 @@ class TrainConfig:
 
 def _is_number(value, kind=numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    """``math.isfinite``, with an integer too large for a float not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def proportional_mix(n_bi: int, n_mono_l1: int, n_mono_l2: int) -> tuple[float, float, float]:
@@ -171,13 +185,16 @@ def apply_sparse_update(
     return g_rows, w_rows
 
 
-def _commit(matrix: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
-    """``matrix[ids] = rows``, one block of rows at a time on the block pool."""
+def _commit(ids: np.ndarray, g_matrix: np.ndarray, g_rows: np.ndarray,
+            matrix: np.ndarray, w_rows: np.ndarray) -> None:
+    """``g_matrix[ids] = g_rows`` and ``matrix[ids] = w_rows``, in one pass
+    of row blocks on the block pool."""
 
     def block(part):
-        matrix[ids[part]] = rows[part]
+        g_matrix[ids[part]] = g_rows[part]
+        matrix[ids[part]] = w_rows[part]
 
-    run_blocks(block, cell_blocks(*rows.shape))
+    run_blocks(block, cell_blocks(*w_rows.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +272,12 @@ def train_step(batch: Batch, tables: TablePair, state: AdaGradState, config: Tra
     staged = []
     for tag, (ids, grads) in grads_by_tag.items():
         table, g_matrix = tables.by_tag(tag), state.g_by_tag[tag]
-        rows = apply_sparse_update(
+        g_rows, w_rows = apply_sparse_update(
             table, g_matrix, ids, grads, config.learning_rate, config.adagrad_epsilon,
         )
-        staged.append((table.matrix, g_matrix, ids) + rows)
-    for matrix, g_matrix, ids, g_rows, w_rows in staged:
-        _commit(g_matrix, ids, g_rows)
-        _commit(matrix, ids, w_rows)
+        staged.append((ids, g_matrix, g_rows, table.matrix, w_rows))
+    for args in staged:
+        _commit(*args)
     return breakdown
 
 
@@ -352,7 +368,7 @@ def load_checkpoint(path):
 
     version = member("version", "an integer", integer)
     if version != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
     tag1, tag2 = member("tags", "two language tags",
                         lambda a: [str(t) for t in a] if a.shape == (2,) else None)
     t1, t2 = (floats(name, "a 2-D float table", lambda a: a.ndim == 2)

@@ -1,14 +1,18 @@
-"""The benchmark's tracer finds every library function it hooks.
+"""The benchmark still runs against the library.
 
 ``perfbench/spans.py`` wraps library entry points by name and reads some
 of their arguments by position; a renamed or reordered hooked signature
-makes it report the hook or its count as absent. This test installs the
-tracer, runs one tiny Add epoch with monolingual data, one tiny Bi epoch
-and one ``.vec`` export, and expects nothing absent and every counted
-hook to have counted.
+makes it report the hook or its count as absent. The first test installs
+the tracer, runs one tiny Add epoch with monolingual data, one tiny Bi
+epoch and one ``.vec`` export, and expects nothing absent and every
+counted hook to have counted. The second runs ``perfbench/smoke.py``,
+which catches a library function that the benchmark calls directly and
+that no longer fits it, and a benchmark step loop that no longer matches
+``trainer.train``.
 """
 
 import importlib.util
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -53,3 +57,12 @@ def test_every_hook_is_present_and_counts(synth_world, tmp_path, monkeypatch):
         "corpus.sample", "trainer.step", "embeddings.compose_fwd", "embeddings.compose_bwd",
         "objective.scatter", "objective.coalesce", "trainer.update", "embeddings.vec_write",
     }
+
+
+def test_benchmark_smoke_check_passes():
+    # the benchmark calls library functions directly and runs its own copy
+    # of the step loop; its smoke check runs every workload at a tiny size
+    smoke = SPANS.parent / "smoke.py"
+    done = subprocess.run([sys.executable, str(smoke)], capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "smoke: ok" in done.stdout.splitlines()

@@ -6,9 +6,9 @@ import pytest
 
 from xlembed.cli import main
 from xlembed.corpus import EncodedCorpus, Vocabulary
-from xlembed.embeddings import load_embeddings_text
+from xlembed.embeddings import EmbeddingTable, load_embeddings_text
 from xlembed.errors import DataError
-from xlembed.evaluate import US
+from xlembed.evaluate import US, nearest_neighbors
 from xlembed.trainer import load_checkpoint
 
 
@@ -397,6 +397,7 @@ MALFORMED_MEMBERS = [
     ("config", lambda z: config_with(z, seed=None)),
     ("config", lambda z: config_with(z, mix=["a", 0.5, 0.5])),
     ("config", lambda z: config_with(z, dim=0)),
+    ("config", lambda z: config_with(z, lam=10**400)),
 ]
 
 
@@ -520,6 +521,24 @@ class TestNnCommand:
         assert main(args) == 0
         assert capsys.readouterr().out == out1
         assert out1.splitlines()[0].startswith("cat\t1\t")
+
+    def test_crosslingual_query_reads_the_destination_table(self, model_dir, tmp_path, capsys):
+        en, de = model_dir / "en.vec", model_dir / "de.vec"
+        loaded = {}
+        for path, tag in ((en, "en"), (de, "de")):
+            tokens, matrix = load_embeddings_text(path)
+            loaded[tag] = (Vocabulary(tokens[1:], [0] * (len(tokens) - 1), 0, tag),
+                           EmbeddingTable(matrix, tag))
+        expected = nearest_neighbors("cat", *loaded["en"], *loaded["de"], k=3)
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text("cat\n")
+        for query in (["--query", "cat"], ["--query-file", str(qfile)]):
+            args = ["nn", "--embeddings", str(en), "--dst-embeddings", str(de), "--k", "3", *query]
+            assert main(args) == 0
+            rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+            assert {token for _, _, token, _ in rows} <= set(loaded["de"][0].id_to_token)
+            assert rows == [["cat", str(rank), token, f"{score:.6f}"]
+                            for rank, (token, score) in enumerate(expected, start=1)]
 
     def test_no_query_is_usage_error(self, model_dir):
         assert main(["nn", "--embeddings", str(model_dir / "en.vec")]) == 1
@@ -696,6 +715,145 @@ def test_vec_too_large_to_allocate_is_data_error(model_dir, doc_files, tmp_path,
     err = capsys.readouterr().err
     assert f"{big}:1: header gives 100000000000 x 40 values, too many to allocate" in err
     assert err.count("\n") == 1
+
+
+# error case -> (exit code, text of its one stderr line with {tmp} for
+# tmp_path, a function of (fixture getter, tmp_path) that prepares the
+# inputs and returns the argv)
+EXIT_CASES = {}
+
+
+def exit_case(code, message):
+    def register(make_argv):
+        EXIT_CASES[make_argv.__name__] = (code, message, make_argv)
+        return make_argv
+    return register
+
+
+def write_config(tmp, line):
+    path = tmp / "run.cfg"
+    path.write_text(line + "\n")
+    return str(path)
+
+
+def insert_line(path, index, line):
+    lines = path.read_text().splitlines()
+    lines.insert(index, line)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def classify_args(model, *docs):
+    return ["classify-eval", "--embeddings-l1", str(model / "en.vec"),
+            "--embeddings-l2", str(model / "de.vec"), *map(str, docs)]
+
+
+@exit_case(1, "l1 and l2 tags must differ")
+def same_tags(fx, tmp):
+    return preprocess_args(fx("tiny_corpus"), tmp / "out") + ["--l1-tag", "en", "--l2-tag", "en"]
+
+
+@exit_case(1, "{tmp}/run.cfg: bad value for 'dim'")
+def config_dim_not_a_number(fx, tmp):
+    return train_args(fx("prepared"), tmp / "out", "--config", write_config(tmp, "dim = forty"))
+
+
+@exit_case(1, "{tmp}/run.cfg: bad value for 'lowercase'")
+def config_bool_not_a_bool(fx, tmp):
+    return preprocess_args(fx("tiny_corpus"), tmp / "out") + [
+        "--config", write_config(tmp, "lowercase = maybe")]
+
+
+@exit_case(1, "dim is too large for a float, got 1111")
+def dim_too_large_for_a_float(fx, tmp):
+    return train_args(fx("prepared"), tmp / "out", "--dim", "1" * 401)
+
+
+@exit_case(1, "batch_size is too large for a float, got 1111")
+def batch_size_too_large_for_a_float(fx, tmp):
+    return train_args(fx("prepared"), tmp / "out", "--batch-size", "1" * 401)
+
+
+@exit_case(1, "no corpus configured")
+def every_pair_filtered_and_no_mono(fx, tmp):
+    (tmp / "c.en").write_text("REPORT 123 456 789\n")
+    (tmp / "c.de").write_text("BERICHT 123 456 789\n")
+    assert main(["preprocess", "--parallel-l1", str(tmp / "c.en"), "--parallel-l2",
+                 str(tmp / "c.de"), "--outdir", str(tmp / "prep")]) == 0
+    return train_args(tmp / "prep", tmp / "out")
+
+
+@exit_case(2, "{tmp}/prep/bi.en.ids:2: empty sentence line")
+def ids_blank_line(fx, tmp):
+    insert_line(fx("prepared") / "bi.en.ids", 1, "")
+    return train_args(tmp / "prep", tmp / "out")
+
+
+@exit_case(2, "{tmp}/prep/bi.en.ids:1: non-integer token id")
+def ids_not_an_integer(fx, tmp):
+    append_to_first_line(fx("prepared") / "bi.en.ids", "x")
+    return train_args(tmp / "prep", tmp / "out")
+
+
+@exit_case(2, "{tmp}/prep/en.vocab:3: token 'the' repeats line 2")
+def vocab_duplicate_token(fx, tmp):
+    insert_line(fx("prepared") / "en.vocab", 2, "the\t7")
+    return train_args(tmp / "prep", tmp / "out")
+
+
+@exit_case(2, "vocabulary size 1 does not match table rows 13 for 'en'")
+def export_vocab_smaller_than_table(fx, tmp):
+    model = fx("model_dir")
+    (tmp / "small.vocab").write_text("<unk>\t0\n")
+    return ["export", "--checkpoint", str(model / "checkpoint.npz"),
+            "--vocab-l1", str(tmp / "small.vocab"), "--vocab-l2", str(tmp / "prep" / "de.vocab"),
+            "--outdir", str(tmp / "exported")]
+
+
+@exit_case(2, "{tmp}/v7.npz: unsupported checkpoint version 7")
+def checkpoint_version_7(fx, tmp):
+    model = fx("model_dir")
+    with np.load(model / "checkpoint.npz") as z:
+        arrays = dict(z)
+    np.savez(tmp / "v7.npz", **{**arrays, "version": np.array(7)})
+    return ["export", "--checkpoint", str(tmp / "v7.npz"), "--vocab-l1", str(tmp / "prep" / "en.vocab"),
+            "--vocab-l2", str(tmp / "prep" / "de.vocab"), "--outdir", str(tmp / "exported")]
+
+
+@exit_case(2, "{tmp}/bad.vec: row 0 must be the '<unk>' vector")
+def vec_row_0_not_unk(fx, tmp):
+    (tmp / "bad.vec").write_text("1 2\nfoo 1.0 2.0\n")
+    return ["nn", "--embeddings", str(tmp / "bad.vec"), "--query", "foo"]
+
+
+@exit_case(1, "l2->l1 needs both --train-docs-l2 and --test-docs-l1")
+def classify_half_direction_l2(fx, tmp):
+    _, test_l2 = fx("doc_files")
+    return classify_args(fx("model_dir"), "--train-docs-l2", test_l2)
+
+
+@exit_case(1, "no direction given")
+def classify_no_direction(fx, tmp):
+    return classify_args(fx("model_dir"))
+
+
+@exit_case(2, "{tmp}/empty.docs:1: document has no sentences")
+def docs_line_without_sentence(fx, tmp):
+    _, test_l2 = fx("doc_files")
+    (tmp / "empty.docs").write_text("pets\ten0\t\n")
+    return classify_args(fx("model_dir"), "--train-docs-l1", tmp / "empty.docs",
+                         "--test-docs-l2", test_l2)
+
+
+@pytest.mark.parametrize("case", list(EXIT_CASES))
+def test_error_exits_with_its_code_and_one_line(case, request, tmp_path, capsys):
+    code, message, make_argv = EXIT_CASES[case]
+    argv = make_argv(request.getfixturevalue, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert message.format(tmp=tmp_path) in err
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestComposeCommand:

@@ -219,6 +219,13 @@ class TestComposeDocument:
         with pytest.raises(CompositionError):
             compose_documents(documents, self._matrix(), kind)
 
+    @pytest.mark.parametrize("kind", ["add", "bi"])
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_id_outside_the_table_is_refused(self, kind, bad):
+        matrix = self._matrix()[:4]
+        with pytest.raises(CompositionError, match=f"id {bad} is not a row of the 4-row table"):
+            compose_documents([[ids(bad, 1), ids(2, 3)]], matrix, kind)
+
 
 class TestSpanComposition:
     @pytest.mark.parametrize("kind", ["add", "bi"])

@@ -502,6 +502,17 @@ def test_batch_with_an_empty_span_is_refused(kind):
         batch_loss_and_grad(pairs, None, None, tables, kind, 0.5, 0.7)
 
 
+@pytest.mark.parametrize("kind", ["add", "bi"])
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_batch_with_an_id_outside_the_table_is_refused(kind, bad):
+    # -1 would read row 3 and file its gradient under id 1; 4 is past the rows
+    rng = np.random.default_rng(5)
+    tables = tables_of(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
+    pairs = PairBatch("en", "de", spans([bad, 1]), spans([2, 3]))
+    with pytest.raises(CompositionError, match=f"id {bad} is not a row of the 4-row table"):
+        batch_loss_and_grad(pairs, None, None, tables, kind, 0.5, 0.7)
+
+
 class TestPerLanguageComposition:
     """Each language's span sets are composed together; the results must be
     those of composing every set on its own, bit for bit."""

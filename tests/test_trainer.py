@@ -99,6 +99,21 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=message):
             replace(TrainConfig(), **{field: value}).validate()
 
+    @pytest.mark.parametrize("field, message", [
+        ("dim", "dim is too large for a float"),
+        ("batch_size", "batch_size is too large for a float"),
+        ("learning_rate", "learning_rate must be finite"),
+        ("margin", "margin must be finite"),
+        ("lam", "lambda must be finite"),
+        ("adagrad_epsilon", "adagrad_epsilon must be finite"),
+        ("init_sigma", "init_sigma must be finite"),
+        ("mix", "mix must be three finite fractions"),
+    ])
+    def test_integer_too_large_for_a_float_is_refused(self, field, message):
+        value = (10**400, 0, 0) if field == "mix" else 10**400
+        with pytest.raises(ConfigError, match=message):
+            replace(TrainConfig(), **{field: value}).validate()
+
     def test_numbers_of_any_type_and_derived_defaults_accepted(self):
         TrainConfig(dim=np.int64(4), learning_rate=1, lam=np.float64(0.5), margin=None,
                     epochs=None, mix=[0.5, 0.25, 0.25]).validate()
