@@ -21,7 +21,7 @@ from .embeddings import (
     load_embeddings_text,
     save_embeddings_text,
 )
-from .errors import ConfigError, DataError, OovError, TrainingError, XlembedError
+from .errors import ConfigError, DataError, OovError, TrainingError
 from .trainer import (
     DEFAULT_SEED,
     TrainConfig,
@@ -448,6 +448,10 @@ def _load_vec_as_vocab_table(path, tag: str) -> tuple[corp.Vocabulary, Embedding
     tokens, matrix = load_embeddings_text(path)
     if not tokens or tokens[0] != corp.UNK_TOKEN:
         raise DataError(f"{path}: row 0 must be the {corp.UNK_TOKEN!r} vector")
+    first_row = {}
+    for i, token in enumerate(tokens):  # row i is on line i + 2
+        if first_row.setdefault(token, i) != i:
+            raise DataError(f"{path}:{i + 2}: token {token!r} repeats line {first_row[token] + 2}")
     vocab = corp.Vocabulary(tokens[1:], [0] * (len(tokens) - 1), 0, tag)
     return vocab, EmbeddingTable(matrix, tag)
 
@@ -564,9 +568,6 @@ def main(argv=None) -> int:
         return 3
     except (DataError, OSError) as exc:
         print(f"xlembed: data error: {exc}", file=sys.stderr)
-        return 2
-    except XlembedError as exc:
-        print(f"xlembed: error: {exc}", file=sys.stderr)
         return 2
 
 

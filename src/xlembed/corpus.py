@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, DataError, SamplingError
+from .errors import AlignmentError, ConfigError, DataError, SamplingError
 
 UNK_TOKEN = "<unk>"
 UNK_ID = 0
@@ -347,7 +347,9 @@ class ParallelCorpus:
 
     def limited(self, n: int) -> "ParallelCorpus":
         """First n pairs (corpus-size cap for the bilingual conditions)."""
-        keep = min(max(n, 0), len(self))
+        if n < 0:
+            raise ConfigError(f"pair limit must be >= 0, got {n}")
+        keep = min(n, len(self))
         l1, l2 = (
             c._from_flat(c.flat[: c.offsets[keep]].copy(), c.lengths[:keep].copy(), c.language_tag)
             for c in (self.l1, self.l2)

@@ -54,8 +54,9 @@ def represent_document(docs, table: EmbeddingTable, kind, norm_mode: str = "none
 
 
 class PerceptronModel:
-    """Multiclass perceptron with lazily accumulated weight averages.
+    """Multiclass averaged perceptron.
 
+    The averaged weights are the mean of the weights after each example.
     Prediction is argmax of class scores; ties resolve to the lowest class
     index. There is no bias term, so predictions are invariant to positive
     rescaling of the inputs.
@@ -65,32 +66,23 @@ class PerceptronModel:
         self.classes = list(classes)
         if len(self.classes) < 2:
             raise DataError("perceptron needs at least two classes")
-        c = len(self.classes)
-        self.w = np.zeros((c, dim), dtype=np.float64)
-        self._acc = np.zeros((c, dim), dtype=np.float64)
-        self._last = np.zeros(c, dtype=np.int64)
+        self.w = np.zeros((len(self.classes), dim), dtype=np.float64)
+        self._sum = np.zeros_like(self.w)
         self._t = 0
 
-    def _flush(self, c: int) -> None:
-        # bring class c's running sum up to date through example t-1
-        self._acc[c] += (self._t - 1 - self._last[c]) * self.w[c]
-        self._last[c] = self._t - 1
-
     def observe(self, x: np.ndarray, true_class: int) -> int:
-        self._t += 1
         predicted = int(np.argmax(self.w @ x))
         if predicted != true_class:
-            self._flush(true_class)
-            self._flush(predicted)
             self.w[true_class] += x
             self.w[predicted] -= x
+        self._sum += self.w
+        self._t += 1
         return predicted
 
     def averaged_weights(self) -> np.ndarray:
         if self._t == 0:
             return self.w.copy()
-        avg = self._acc + (self._t - self._last)[:, None] * self.w
-        return avg / self._t
+        return self._sum / self._t
 
     def predict_indices(self, xs, use_average: bool = True) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)

@@ -430,6 +430,8 @@ def train(
     the epoch is a counting unit, not a permutation of the corpus.
     """
     config.validate()
+    if checkpoint_every < 0:
+        raise ConfigError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     tag1, tag2 = data.tags
     sizes = data.sizes()
     mix = config.mix if config.mix is not None else proportional_mix(*sizes)

@@ -490,6 +490,7 @@ MALFORMED_VEC = {
     "2 2\n<unk> 0.0 0.0\nfoo 1.0\n": "bad.vec:3: row 1 has 1 values, expected 2",
     "2 2\n<unk> 0.0 0.0\nfoo 1.0 2.0\nbar 3.0 4.0\n": "bad.vec:4: a row past the 2 rows the header gives",
     "2 2\n<unk> 0.0 0.0\nfoo 1.0 2.0\n\nbar 3.0 4.0\n": "bad.vec:5: a row past the 2 rows the header gives",
+    "3 2\n<unk> 0.0 0.0\nfoo 1.0 2.0\nfoo 3.0 4.0\n": "bad.vec:4: token 'foo' repeats line 3",
     # 1e11 rows fail at allocation at once; no size that might be allocated is tried
     "100000000000 40\nfoo 1.0\n": (
         "bad.vec:1: header gives 100000000000 x 40 values, too many to allocate"
@@ -823,6 +824,13 @@ def checkpoint_version_7(fx, tmp):
 def vec_row_0_not_unk(fx, tmp):
     (tmp / "bad.vec").write_text("1 2\nfoo 1.0 2.0\n")
     return ["nn", "--embeddings", str(tmp / "bad.vec"), "--query", "foo"]
+
+
+@exit_case(2, "source and destination tables have different dims")
+def nn_destination_of_another_dim(fx, tmp):
+    (tmp / "dst.vec").write_text("2 3\n<unk> 0.0 0.0 0.0\nkatze 1.0 2.0 3.0\n")
+    return ["nn", "--embeddings", str(fx("model_dir") / "en.vec"),
+            "--dst-embeddings", str(tmp / "dst.vec"), "--query", "cat"]
 
 
 @exit_case(1, "l2->l1 needs both --train-docs-l2 and --test-docs-l1")

@@ -166,6 +166,15 @@ class TestVocabulary:
         with pytest.raises(DataError, match=r"bad\.vocab:2:"):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize("tokens", [["a", "b", "a"], ["a", "<unk>"]])
+    def test_repeated_token_rejected(self, tokens):
+        with pytest.raises(DataError, match="duplicate tokens"):
+            Vocabulary(tokens, [1] * len(tokens))
+
+    def test_merge_of_no_vocabulary_rejected(self):
+        with pytest.raises(DataError, match="at least one vocabulary"):
+            merge_vocabularies([])
+
     def test_merge_sums_counts_and_reassigns_ids(self):
         v1 = build_vocabulary(["a"] * 3 + ["b"] * 2, 1, "en")
         v2 = build_vocabulary(["b"] * 4 + ["c"] * 2 + ["d"], 2, "en")
@@ -258,6 +267,11 @@ class TestEncodedCorpus:
         assert len(par) == 2
         assert par.l1.sentence_ids(1).tolist() == [1, 1, 1]
 
+    def test_negative_limit_rejected(self):
+        par = ParallelCorpus(EncodedCorpus([[1, 2]], "en"), EncodedCorpus([[3]], "de"))
+        with pytest.raises(ConfigError, match="pair limit must be >= 0, got -5"):
+            par.limited(-5)
+
     SENTENCES = [[4, 1, 2, 3], [5], [6, 6], [1, 2, 3], [7, 8, 9, 1, 2], [3, 3, 3]]
 
     @staticmethod
@@ -280,6 +294,10 @@ class TestEncodedCorpus:
         first, second = self.SENTENCES[:split], self.SENTENCES[split:]
         joined = EncodedCorpus(first, "en").concat(EncodedCorpus(second, "en"))
         self.assert_same_layout(joined, EncodedCorpus(self.SENTENCES, "en"))
+
+    def test_concat_across_languages_rejected(self):
+        with pytest.raises(DataError, match="different languages"):
+            EncodedCorpus([[1]], "en").concat(EncodedCorpus([[1]], "de"))
 
     def test_iter_tokens_lowercase(self):
         assert list(iter_tokens(["A b", "C"], lowercase=True)) == ["a", "b", "c"]

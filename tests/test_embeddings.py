@@ -349,6 +349,20 @@ class TestTablePair:
         with pytest.raises(DataError):
             TablePair(init_table(4, 3, 0.1, 0, "en"), init_table(4, 2, 0.1, 1, "de"))
 
+    def test_copy_keeps_each_layout_and_shares_no_memory(self):
+        l1 = init_table(4, 3, 0.1, 0, "en")
+        l1.matrix = np.asfortranarray(l1.matrix)
+        pair = TablePair(l1, init_table(6, 3, 0.1, 1, "de"))
+        copy = pair.copy()
+        assert copy.by_tag("de") is copy.l2
+        for original, copied in ((pair.l1, copy.l1), (pair.l2, copy.l2)):
+            assert copied.language_tag == original.language_tag
+            assert np.array_equal(copied.matrix, original.matrix)
+            assert copied.matrix.flags.f_contiguous == original.matrix.flags.f_contiguous
+            assert copied.matrix.flags.c_contiguous == original.matrix.flags.c_contiguous
+            assert not np.shares_memory(copied.matrix, original.matrix)
+        assert copy.l1.matrix.flags.f_contiguous and not copy.l1.matrix.flags.c_contiguous
+
 
 class TestEmbeddingTextFormat:
     def test_round_trip_is_exact(self, tmp_path):

@@ -69,6 +69,13 @@ class TestPerceptron:
         expected = np.mean(snapshots, axis=0)
         assert np.allclose(model.averaged_weights(), expected, atol=1e-12)
 
+    def test_averaged_before_any_example_is_a_copy_of_the_weights(self):
+        model = PerceptronModel(["a", "b"], 3)
+        model.w[0] = [1.0, 2.0, 3.0]
+        averaged = model.averaged_weights()
+        assert np.array_equal(averaged, model.w)
+        assert not np.shares_memory(averaged, model.w)
+
     def test_prediction_scale_invariant(self):
         x, y = blobs(seed=3, n_per_class=30, n_classes=4, dim=40)
         model = perceptron_train(docs_from_labels(y), x, epochs=10, seed=1)
@@ -88,10 +95,13 @@ class TestPerceptron:
         with pytest.raises(DataError):
             perceptron_train(docs, x)
 
+    def test_vector_count_must_match_document_count(self):
+        with pytest.raises(DataError, match="document and vector counts differ"):
+            perceptron_train(docs_from_labels(np.array([0, 1, 0])), np.zeros((2, 4)))
+
     def test_hand_built_two_class_prediction(self):
         model = PerceptronModel(["neg", "pos"], 2)
         model.w[:] = [[-1.0, 0.0], [1.0, 0.0]]
-        model._t = 1  # averaged == raw here
         predicted = model.predict_indices([[2.0, 0.0], [-2.0, 1.0]], use_average=False)
         assert [model.classes[i] for i in predicted] == ["pos", "neg"]
 
@@ -178,6 +188,13 @@ class TestCrosslingualEval:
         with pytest.raises(DataError):
             crosslingual_eval(train, test, tables)
 
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_empty_document_set_rejected(self, empty):
+        train, test, tables = make_separable_eval_data()
+        sets = {"train": train, "test": test, empty: []}
+        with pytest.raises(DataError, match="both document sets must be non-empty"):
+            crosslingual_eval(sets["train"], sets["test"], tables)
+
     def test_mixed_language_set_rejected(self):
         train, test, tables = make_separable_eval_data()
         with pytest.raises(DataError, match="mixes languages"):
@@ -244,6 +261,15 @@ class TestNearestNeighbors:
         vocab, table = self._vocab_table([[0, 0], [1.0, 0.0]], "t")
         with pytest.raises(OovError, match="unk"):
             nearest_neighbors("missing", vocab, table, vocab, table)
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"k": 0}, "k must be >= 1, got 0"),
+        ({"metric": "manhattan"}, "unknown metric 'manhattan'"),
+    ])
+    def test_bad_k_or_metric_rejected(self, setting, message):
+        vocab, table = self._vocab_table([[0, 0], [1.0, 0.0]], "t")
+        with pytest.raises(DataError, match=message):
+            nearest_neighbors("t0", vocab, table, vocab, table, **setting)
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     @pytest.mark.parametrize("k", [1, 3, 10, 17, 59, 80])

@@ -327,6 +327,17 @@ class TestBatchLossAndGrad:
         pb, t1, t2, tables = make_world(1, 3)
         with pytest.raises(DataError):
             batch_loss_and_grad(None, t2, None, tables, "add", 1.0, 0.0)
+        with pytest.raises(DataError, match="mono_samples_l2 carries tag 'en', expected 'de'"):
+            batch_loss_and_grad(None, None, t1, tables, "add", 1.0, 0.0)
+
+    @pytest.mark.parametrize("margin, lam, message", [
+        (-0.5, 0.7, "margin must be >= 0, got -0.5"),
+        (0.5, -0.7, "lambda must be >= 0, got -0.7"),
+    ])
+    def test_negative_margin_or_lambda_rejected(self, margin, lam, message):
+        pb, t1, t2, tables = make_world(1, 3)
+        with pytest.raises(DataError, match=message):
+            batch_loss_and_grad(pb, t1, t2, tables, "add", margin, lam)
 
     @pytest.mark.parametrize("kind", ["add", "bi"])
     def test_gradient_matches_finite_differences(self, kind):

@@ -35,24 +35,25 @@ from xlembed.trainer import (
 )
 
 
-def small_data(seed=0, n_pairs=30, n_mono=50, vocab=20):
+def small_data(seed=0, n_pairs=30, n_mono=50, vocab=20, tags=("en", "de")):
     rng = np.random.default_rng(seed)
 
     def sentences(n):
         return [rng.integers(1, vocab, size=rng.integers(3, 8)).astype(np.int32) for _ in range(n)]
 
     pair_sents = sentences(n_pairs)
-    voc1 = Vocabulary([f"w{i}" for i in range(vocab - 1)], [5] * (vocab - 1), 0, "en")
-    voc2 = Vocabulary([f"v{i}" for i in range(vocab - 1)], [5] * (vocab - 1), 0, "de")
+    tag1, tag2 = tags
+    voc1 = Vocabulary([f"w{i}" for i in range(vocab - 1)], [5] * (vocab - 1), 0, tag1)
+    voc2 = Vocabulary([f"v{i}" for i in range(vocab - 1)], [5] * (vocab - 1), 0, tag2)
     return TrainingData(
         voc1,
         voc2,
         ParallelCorpus(
-            EncodedCorpus(pair_sents, "en"),
-            EncodedCorpus([s.copy() for s in pair_sents], "de"),
+            EncodedCorpus(pair_sents, tag1),
+            EncodedCorpus([s.copy() for s in pair_sents], tag2),
         ),
-        EncodedCorpus(sentences(n_mono), "en"),
-        EncodedCorpus(sentences(n_mono), "de"),
+        EncodedCorpus(sentences(n_mono), tag1),
+        EncodedCorpus(sentences(n_mono), tag2),
     )
 
 
@@ -578,6 +579,13 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             train(small_data(), other, resume_from=path)
 
+    def test_resume_with_other_language_tags_rejected(self, tmp_path):
+        config = TrainConfig(dim=4, epochs=2, batch_size=32)
+        path = tmp_path / "ck.npz"
+        train(small_data(), config, checkpoint_path=path)
+        with pytest.raises(DataError, match="checkpoint language tags do not match the corpora"):
+            train(small_data(tags=("en", "fr")), config, resume_from=path)
+
 
 def checkpoint_members(path) -> dict[str, np.ndarray]:
     with np.load(path) as z:
@@ -754,6 +762,12 @@ class TestCheckpointSaves:
     def test_each_epoch_saved_once(self, monkeypatch, tmp_path, every, epochs):
         config = TrainConfig(dim=2, epochs=3, batch_size=64)
         assert self.saved_epochs(monkeypatch, tmp_path, config, checkpoint_every=every) == epochs
+
+    def test_negative_interval_refused_before_any_save(self, monkeypatch, tmp_path):
+        config = TrainConfig(dim=2, epochs=3, batch_size=64)
+        with pytest.raises(ConfigError, match="checkpoint_every must be >= 0, got -1"):
+            self.saved_epochs(monkeypatch, tmp_path, config, checkpoint_every=-1)
+        assert not list(tmp_path.iterdir())
 
     def test_run_of_no_epoch_saves_its_start_once(self, monkeypatch, tmp_path):
         config = TrainConfig(dim=2, epochs=0, batch_size=64)
