@@ -273,8 +273,7 @@ def _corpus_stats(name: str, kind: str, threshold, enc: corp.EncodedCorpus, voca
 def run_preprocess(args) -> int:
     _require_files(args.parallel_l1, args.parallel_l2, args.mono_l1, args.mono_l2)
     cfg = _merge_settings(args)
-    tag_l1, tag_l2 = cfg["l1_tag"], cfg["l2_tag"]
-    if tag_l1 == tag_l2:
+    if cfg["l1_tag"] == cfg["l2_tag"]:
         raise ConfigError("l1 and l2 tags must differ")
     for name in ("min_sentence_len", "unk_threshold_bi_l1", "unk_threshold_bi_l2",
                  "unk_threshold_mono_l1", "unk_threshold_mono_l2"):
@@ -290,19 +289,18 @@ def run_preprocess(args) -> int:
     kept = corp.filter_parallel(
         pairs, cfg["lowercase_cutoff_l1"], cfg["lowercase_cutoff_l2"], min_len
     )
-    bi_lines = {tag_l1: [p[0] for p in kept], tag_l2: [p[1] for p in kept]}
-    mono_lines = {}
-    for tag, path, cutoff in (
-        (tag_l1, args.mono_l1, cfg["lowercase_cutoff_l1"]),
-        (tag_l2, args.mono_l2, cfg["lowercase_cutoff_l2"]),
-    ):
-        if path is not None:
-            mono_lines[tag] = corp.filter_mono(corp.read_lines(path), cutoff, min_len)
+    # per language tag, its corpora as (file stem, kind, UNK threshold,
+    # lines): the bilingual side, then the monolingual corpus if given
+    corpora = {}
+    for side, lang in enumerate(("l1", "l2")):
+        tag, mono_path = cfg[f"{lang}_tag"], getattr(args, f"mono_{lang}")
+        bi_lines = [pair[side] for pair in kept]
+        corpora[tag] = [("bi." + tag, "bilingual", cfg[f"unk_threshold_bi_{lang}"], bi_lines)]
+        if mono_path is not None:
+            lines = corp.filter_mono(corp.read_lines(mono_path), cfg[f"lowercase_cutoff_{lang}"], min_len)
+            corpora[tag].append(("mono." + tag, "monolingual", cfg[f"unk_threshold_mono_{lang}"], lines))
     if not kept:
         print("warning: no sentence pairs survived filtering", file=sys.stderr)
-
-    bi_thresholds = {tag_l1: cfg["unk_threshold_bi_l1"], tag_l2: cfg["unk_threshold_bi_l2"]}
-    mono_thresholds = {tag_l1: cfg["unk_threshold_mono_l1"], tag_l2: cfg["unk_threshold_mono_l2"]}
 
     header = (
         f"{'corpus':<10} {'type':<12} {'unk_threshold':>13} {'#sentences':>11} "
@@ -310,23 +308,12 @@ def run_preprocess(args) -> int:
     )
     print(header)
     os.makedirs(args.outdir, exist_ok=True)
-    for tag in (tag_l1, tag_l2):
-        bi_vocab = corp.build_vocabulary(
-            corp.iter_tokens(bi_lines[tag], lowercase), bi_thresholds[tag], tag
-        )
-        per_corpus = [("bi." + tag, "bilingual", bi_thresholds[tag], bi_lines[tag], bi_vocab)]
-        vocabs = [bi_vocab]
-        if tag in mono_lines:
-            mono_vocab = corp.build_vocabulary(
-                corp.iter_tokens(mono_lines[tag], lowercase), mono_thresholds[tag], tag
-            )
-            per_corpus.append(
-                ("mono." + tag, "monolingual", mono_thresholds[tag], mono_lines[tag], mono_vocab)
-            )
-            vocabs.append(mono_vocab)
+    for tag, per_corpus in corpora.items():
+        vocabs = [corp.build_vocabulary(corp.iter_tokens(lines, lowercase), threshold, tag)
+                  for _, _, threshold, lines in per_corpus]
         lang_vocab = corp.merge_vocabularies(vocabs, tag)
         lang_vocab.save(os.path.join(args.outdir, f"{tag}.vocab"))
-        for name, kind, threshold, lines, corpus_vocab in per_corpus:
+        for (name, kind, threshold, lines), corpus_vocab in zip(per_corpus, vocabs):
             enc = corp.EncodedCorpus.from_raw(lines, lang_vocab, lowercase, corpus_vocab)
             enc.save_ids(os.path.join(args.outdir, f"{name}.ids"))
             print(_corpus_stats(name, kind, threshold, enc, corpus_vocab))
@@ -339,39 +326,32 @@ def run_preprocess(args) -> int:
 
 
 def _load_training_data(data_dir: str, settings: dict) -> TrainingData:
-    tag1, tag2 = settings["l1_tag"], settings["l2_tag"]
-    paths = {
-        "vocab_l1": os.path.join(data_dir, f"{tag1}.vocab"),
-        "vocab_l2": os.path.join(data_dir, f"{tag2}.vocab"),
-        "bi_l1": os.path.join(data_dir, f"bi.{tag1}.ids"),
-        "bi_l2": os.path.join(data_dir, f"bi.{tag2}.ids"),
-    }
-    _require_files(*paths.values())
-    vocab_l1 = corp.Vocabulary.load(paths["vocab_l1"], tag1)
-    vocab_l2 = corp.Vocabulary.load(paths["vocab_l2"], tag2)
+    tags = (settings["l1_tag"], settings["l2_tag"])
+    vocab_paths = [os.path.join(data_dir, f"{tag}.vocab") for tag in tags]
+    bi_paths = [os.path.join(data_dir, f"bi.{tag}.ids") for tag in tags]
+    _require_files(*vocab_paths, *bi_paths)
+    vocabs = [corp.Vocabulary.load(path, tag) for path, tag in zip(vocab_paths, tags)]
     parallel = corp.ParallelCorpus(
-        corp.EncodedCorpus.load_ids(paths["bi_l1"], tag1),
-        corp.EncodedCorpus.load_ids(paths["bi_l2"], tag2),
+        *(corp.EncodedCorpus.load_ids(path, tag) for path, tag in zip(bi_paths, tags))
     )
     if settings["bilingual_limit"] is not None:
         parallel = parallel.limited(settings["bilingual_limit"])
-    mono = {}
-    if settings["use_mono"]:
-        for tag in (tag1, tag2):
-            path = os.path.join(data_dir, f"mono.{tag}.ids")
-            if os.path.exists(path):
-                mono[tag] = corp.EncodedCorpus.load_ids(path, tag)
-    if settings["mono_use_parallel"]:
-        for tag, side in ((tag1, parallel.l1), (tag2, parallel.l2)):
-            mono[tag] = mono[tag].concat(side) if tag in mono else side
-    for vocab, enc in ((vocab_l1, parallel.l1), (vocab_l1, mono.get(tag1)),  # ids >= 0 already
-                       (vocab_l2, parallel.l2), (vocab_l2, mono.get(tag2))):
-        if enc is not None and enc.n_tokens and enc.flat.max() >= len(vocab):
-            raise DataError(
-                f"{enc.language_tag!r} corpus references id {enc.flat.max()} "
-                f"outside the vocabulary (size {len(vocab)})"
-            )
-    return TrainingData(vocab_l1, vocab_l2, parallel, mono.get(tag1), mono.get(tag2))
+    mono = []
+    for tag, side in zip(tags, (parallel.l1, parallel.l2)):
+        path = os.path.join(data_dir, f"mono.{tag}.ids")
+        present = settings["use_mono"] and os.path.exists(path)
+        enc = corp.EncodedCorpus.load_ids(path, tag) if present else None
+        if settings["mono_use_parallel"]:
+            enc = side if enc is None else enc.concat(side)
+        mono.append(enc)
+    for vocab, *encoded in zip(vocabs, (parallel.l1, parallel.l2), mono):
+        for enc in encoded:  # ids >= 0 already
+            if enc is not None and enc.n_tokens and enc.flat.max() >= len(vocab):
+                raise DataError(
+                    f"{enc.language_tag!r} corpus references id {enc.flat.max()} "
+                    f"outside the vocabulary (size {len(vocab)})"
+                )
+    return TrainingData(*vocabs, parallel, *mono)
 
 
 def _export_tables(outdir: str, tables: TablePair, vocab_l1, vocab_l2) -> list[str]:
@@ -489,14 +469,14 @@ def _load_docs_for(path, vocab: corp.Vocabulary):
 
 def run_classify_eval(args) -> int:
     directions = []
-    if args.train_docs_l1 or args.test_docs_l2:
-        if not (args.train_docs_l1 and args.test_docs_l2):
-            raise ConfigError("l1->l2 needs both --train-docs-l1 and --test-docs-l2")
-        directions.append(("l1", args.train_docs_l1, "l2", args.test_docs_l2))
-    if args.train_docs_l2 or args.test_docs_l1:
-        if not (args.train_docs_l2 and args.test_docs_l1):
-            raise ConfigError("l2->l1 needs both --train-docs-l2 and --test-docs-l1")
-        directions.append(("l2", args.train_docs_l2, "l1", args.test_docs_l1))
+    for train_tag, test_tag in (("l1", "l2"), ("l2", "l1")):
+        train_path = getattr(args, f"train_docs_{train_tag}")
+        test_path = getattr(args, f"test_docs_{test_tag}")
+        if train_path or test_path:
+            if not (train_path and test_path):
+                raise ConfigError(f"{train_tag}->{test_tag} needs both --train-docs-{train_tag} "
+                                  f"and --test-docs-{test_tag}")
+            directions.append((train_tag, train_path, test_tag, test_path))
     if not directions:
         raise ConfigError("no direction given; pass --train-docs-l1/--test-docs-l2 "
                           "and/or --train-docs-l2/--test-docs-l1")

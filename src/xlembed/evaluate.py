@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Vocabulary, atomic_write, encode, numbered_lines
-from .embeddings import EmbeddingTable, TablePair, compose_documents
-from .errors import DataError, OovError
+from .embeddings import CompositionKind, EmbeddingTable, TablePair, compose_documents
+from .errors import ConfigError, DataError, OovError
 
 # ASCII unit separator: delimits sentences within a document line
 US = "\x1f"
@@ -95,6 +95,8 @@ def perceptron_train(train_docs, vectors, epochs: int = 10, seed: int = 0) -> Pe
 
     Document order is shuffled once per epoch by the seeded generator.
     """
+    if epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
     docs = list(train_docs)
     vectors = np.asarray(vectors, dtype=np.float64)
     if len(docs) != vectors.shape[0]:
@@ -157,6 +159,8 @@ def crosslingual_eval(
     """Compose each document set with its language's table, train the
     perceptron on the first set, and report accuracy on the second. Each
     set holds documents of one language."""
+    if train_size is not None and train_size < 1:
+        raise ConfigError(f"train_size must be >= 1, got {train_size}")
     train_docs = list(train_docs)
     test_docs = list(test_docs)
     if not train_docs or not test_docs:
@@ -195,7 +199,8 @@ def crosslingual_eval(
         confusion=confusion,
         classes=model.classes,
         train_size=len(train_docs),
-        config={"kind": str(kind), "norm_mode": norm_mode, "epochs": epochs, "seed": seed},
+        config={"kind": CompositionKind.coerce(kind).value, "norm_mode": norm_mode,
+                "epochs": epochs, "seed": seed},
     )
 
 

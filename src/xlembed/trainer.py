@@ -489,9 +489,9 @@ def train(
             result.history.append((epoch, step, breakdown))
             if log_fn is not None:
                 log_fn(log_line(epoch, step, breakdown))
-        if checkpoint_path and (epoch == epochs or checkpoint_every and epoch % checkpoint_every == 0):
+        if checkpoint_path and checkpoint_every and epoch % checkpoint_every == 0 and epoch < epochs:
             save_checkpoint(checkpoint_path, tables, state, config, epoch, rng)
-    if checkpoint_path and start_epoch == epochs:  # no epoch ran: save the start
+    if checkpoint_path:
         save_checkpoint(checkpoint_path, tables, state, config, epochs, rng)
     return result
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from xlembed.corpus import Vocabulary, build_vocabulary
-from xlembed.embeddings import EmbeddingTable, TablePair, init_table
-from xlembed.errors import DataError, OovError
+from xlembed.embeddings import CompositionKind, EmbeddingTable, TablePair, init_table
+from xlembed.errors import ConfigError, DataError, OovError
 from xlembed.evaluate import (
     US,
     LabeledDocument,
@@ -213,6 +213,21 @@ class TestCrosslingualEval:
         assert "direction=en->de" in text
         assert "accuracy=" in text
         assert "confusion[c0]=" in text
+
+    @pytest.mark.parametrize("setting, value", [
+        ("train_size", 0), ("train_size", -3), ("epochs", 0), ("epochs", -1),
+    ])
+    def test_count_below_one_rejected(self, setting, value):
+        train, test, tables = make_separable_eval_data()
+        with pytest.raises(ConfigError, match=f"{setting} must be >= 1, got {value}$"):
+            crosslingual_eval(train, test, tables, **{setting: value})
+
+    def test_kind_spellings_give_one_report(self):
+        train, test, tables = make_separable_eval_data()
+        texts = {crosslingual_eval(train, test, tables, kind=kind).to_text()
+                 for kind in ("add", "ADD", CompositionKind.ADD)}
+        assert len(texts) == 1
+        assert "config.kind=add\n" in texts.pop()
 
 
 class TestNearestNeighbors:

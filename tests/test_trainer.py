@@ -773,6 +773,13 @@ class TestCheckpointSaves:
         config = TrainConfig(dim=2, epochs=0, batch_size=64)
         assert self.saved_epochs(monkeypatch, tmp_path, config, checkpoint_every=1) == [0]
 
+    def test_resumed_run_saves_each_remaining_epoch_once(self, monkeypatch, tmp_path):
+        config = TrainConfig(dim=2, epochs=3, batch_size=64)
+        start = tmp_path / "epoch1.npz"
+        train(small_data(), replace(config, epochs=1), checkpoint_path=start)
+        assert self.saved_epochs(monkeypatch, tmp_path, config, checkpoint_every=1,
+                                 resume_from=start) == [2, 3]
+
 
 class TestConfigFile:
     def test_parse_and_unknown_key(self, tmp_path):
