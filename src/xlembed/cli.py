@@ -123,6 +123,10 @@ def _merge_settings(args) -> dict:
         _require_files(args.config)
         settings.update(load_pipeline_config(args.config))
     settings.update((name, getattr(args, name)) for name in _DEFAULTS if hasattr(args, name))
+    # tags name the output and input files: checked before any is touched
+    for name in ("l1_tag", "l2_tag"):
+        if not corp.is_file_name(settings[name]):
+            raise ConfigError(f"{name} must be one plain file name, got {settings[name]!r}")
     return settings
 
 

@@ -100,6 +100,13 @@ def atomic_write(path, mode: str = "w"):
         raise
 
 
+def is_file_name(name: str) -> bool:
+    """Whether ``name`` is one plain file-name component, as a language tag
+    must be, since tags name the files of their language: not empty, ``.``
+    or ``..``, and holding no path separator (``/`` or ``\\``) and no NUL."""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
 def read_parallel(path_l1, path_l2) -> list[tuple[str, str]]:
     lines1 = read_lines(path_l1)
     lines2 = read_lines(path_l2)

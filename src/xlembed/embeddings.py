@@ -5,15 +5,18 @@ Spans compose either by plain addition or by summing tanh over the vector
 sums of adjacent word bigrams, which makes the result order sensitive.
 Composition (:class:`SpanComposition`) runs dimension-major, one block of
 embedding columns at a time; between the forward and the backward it keeps
-no per-position values, only the span of every position. Training and
-evaluation (:func:`compose_documents`) share it. The column blocks of a
-call run side by side on a pool of one thread per usable core
-(:func:`run_blocks`); each block writes only its own columns, so the
-results are bit-identical whatever the thread count, and there is nothing
-to tune. Whatever depends on the spans alone is built once per
-composition, before its blocks run, so the blocks spend their time in
-numpy calls that release the GIL. The same pool runs the blocks of rows of
-a train step's per-row work; :func:`cell_blocks` cuts both.
+no per-position values, only the span of every position. A caller may also
+run both in its own pass over the columns, handing each block's forward to
+the backward, which then gathers nothing again; the train step does so for
+Bi batches of pairs alone. Training and evaluation
+(:func:`compose_documents`) share it. The column blocks of a call run side
+by side on a pool of one thread per usable core (:func:`run_blocks`); each
+block writes only its own columns, so the results are bit-identical
+whatever the thread count, and there is nothing to tune. Whatever depends
+on the spans alone is built once per composition, before its blocks run,
+so the blocks spend their time in numpy calls that release the GIL. The
+same pool runs the blocks of rows of a train step's per-row work;
+:func:`cell_blocks` cuts both.
 """
 
 from __future__ import annotations
@@ -188,7 +191,11 @@ class SpanComposition:
     column-major, as the trainer's tables are. ``values`` is C-ordered
     (n_spans, d). Nothing per position outlives a block but the span of
     every position: the Bi backward gathers its block again from the kept
-    view ``matrix.T``.
+    view ``matrix.T``, unless its caller hands it the forward block of
+    :meth:`forward`. With ``_forward=False`` no ``values`` are composed: the
+    caller runs :meth:`forward` and :meth:`position_grads` in its own pass
+    over the column blocks, which is how the train step composes and
+    differentiates a Bi batch of pairs alone.
 
     What depends on the spans alone is built once, before any block runs:
     the span starts for ``reduceat`` and the span-of-position index with
@@ -198,7 +205,7 @@ class SpanComposition:
     runs once, here).
     """
 
-    def __init__(self, kind, matrix: np.ndarray, span: SpanSet):
+    def __init__(self, kind, matrix: np.ndarray, span: SpanSet, *, _forward: bool = True):
         self.kind = CompositionKind.coerce(kind)
         if span.n:
             if span.lengths.min() < 1:
@@ -216,6 +223,9 @@ class SpanComposition:
             # last position, so that slot holds zero
             self._last = starts + span.lengths - 1
         self._span_of = np.repeat(np.arange(span.n), span.lengths)
+        if not _forward:
+            self._starts = starts  # for forward(), block by block
+            return
         dim = self._columns.shape[0]
         sums = np.empty((dim, span.n), dtype=matrix.dtype)
 
@@ -224,6 +234,13 @@ class SpanComposition:
 
         run_blocks(block, cell_blocks(dim, span.ids.size))
         self.values = np.ascontiguousarray(sums.T)
+
+    def forward(self, cols: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The forward of the columns ``cols`` of a composition made with
+        ``_forward=False``: their block (:meth:`_block`) and its span sums,
+        the (width, n_spans) block that ``values[:, cols].T`` would be."""
+        block = self._block(cols)
+        return block, np.add.reduceat(block, self._starts, axis=-1)
 
     def _block(self, cols: slice) -> np.ndarray:
         """The (width, n_positions) block whose span sums are ``values``:
@@ -237,16 +254,19 @@ class SpanComposition:
         t[:, self._last] = 0.0
         return t
 
-    def position_grads(self, upstream: np.ndarray, cols: slice) -> np.ndarray:
-        """Gradient of every flat position for the columns ``cols`` of one
-        (n_spans, d) upstream, as a dimension-major (width, n_positions)
-        block."""
-        up = upstream[:, cols].T.take(self._span_of, axis=1)
+    def position_grads(self, upstream: np.ndarray, cols: slice, block=None) -> np.ndarray:
+        """Gradient of every flat position for the columns ``cols``, as a
+        dimension-major (width, n_positions) block, from the upstream of
+        those columns, a (width, n_spans) block. Under Bi, ``block`` is the
+        forward block of ``cols`` from :meth:`forward` when the caller has
+        it in hand; it is then overwritten. Without it the block is
+        gathered again."""
+        up = upstream.take(self._span_of, axis=1)
         if self.kind is CompositionKind.ADD:
             return up
         # tanh' = 1 - tanh^2 of each bigram, which feeds its own position
         # and the next one
-        d = self._block(cols)
+        d = self._block(cols) if block is None else block
         np.multiply(d, d, out=d)
         np.subtract(1.0, d, out=d)
         d[:, self._last] = 0.0

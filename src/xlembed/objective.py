@@ -17,6 +17,18 @@ the accumulator. Every span sums on its own and no Bi bigram crosses a
 span, so each value, and each gradient cell's order of terms, is that of
 the sets composed one by one.
 
+A Bi batch of bilingual pairs alone, as every batch of the bilingual-only
+epochs is, takes one pass over the columns instead: a pair's upstream in
+column c needs only column c of both sides, so one backward, shared by
+both languages in the accumulator, composes a block of columns of both
+sides, takes their differences and pushes them down through the Bi
+bigrams it has just computed, with no second gather and ``tanh``. The
+differences go into one (n_pairs, d) array, squared and summed once after
+the pass, so the loss and the gradient keep the bits of the two-pass path.
+A batch with triples keeps that path, since its hinge needs every column
+of a triple's distances before any upstream exists; so does Add, whose
+backward recomputes nothing.
+
 The path is dimension-major: compositions and the gradient accumulator work
 one block of embedding columns at a time, and no per-position value or
 gradient outlives a block. It reads the tables in place, correct on any
@@ -29,14 +41,14 @@ by side on one thread per usable core
 (:func:`xlembed.embeddings.run_blocks`); each writes only its own columns
 or rows, so losses and gradients are bit-identical whatever the thread
 count, and there is nothing to tune. The loss alone (:func:`batch_loss`)
-stops before the backward: the regularizer's touched rows come from the
-sampled ids, not from the coalesced gradient.
+composes every batch forward only and stops before the backward: the
+regularizer's touched rows come from the sampled ids, not from the
+coalesced gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -74,13 +86,16 @@ class GradientAccumulator:
     """Sparse map (language_tag, word_id) -> d-vector of summed gradients.
 
     Each language has one source: an id array plus a function
-    ``grads(cols)`` that returns the gradients of those ids for the column
-    slice ``cols`` as a dimension-major (width, ids.size) block. The
-    source's unique ids are found when it is added. :meth:`coalesce` asks
-    it for one block of columns at a time and sums each column of the block
-    into the unique rows with one ``bincount``, so no positions x dim
-    gradient is ever built; every cell sums its terms from zero in position
-    order. The blocks run through :func:`xlembed.embeddings.run_blocks`.
+    ``grads(cols)``. Several languages may be added with the same function;
+    for the column slice ``cols`` it returns the gradients of each of their
+    id arrays, in the order they were added, each as a dimension-major
+    (width, ids.size) block. The source's unique ids are found when it is
+    added. :meth:`coalesce` asks each function for one block of columns at
+    a time and sums each column of each block into its language's unique
+    rows with one ``bincount``, so no positions x dim gradient is ever
+    built; every cell sums its terms from zero in position order. The
+    blocks run through :func:`xlembed.embeddings.run_blocks`, one call per
+    function: the languages that share one are summed in one call.
     """
 
     def __init__(self, dim: int):
@@ -101,25 +116,28 @@ class GradientAccumulator:
 
     def coalesce(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Unique ids per language with their summed gradient rows. Each
-        language's source leaves the accumulator as it is summed, which
-        frees its backward context (the composition, the upstream array)
+        function's languages leave the accumulator as they are summed, which
+        frees their backward context (the compositions, the upstream arrays)
         once the sums exist; a second call returns ``{}``."""
         out = {}
-        for tag in list(self._sources):
-            unique, inverse, grads = self._sources.pop(tag)
-            summed = np.empty((unique.size, self.dim), dtype=np.float64)
+        while self._sources:
+            grads = next(iter(self._sources.values()))[2]
+            tags = [tag for tag, (_, _, g) in self._sources.items() if g is grads]
+            sources = [self._sources.pop(tag)[:2] for tag in tags]
+            sums = [np.empty((unique.size, self.dim), dtype=np.float64) for unique, _ in sources]
 
             def sum_block(cols):
-                block = grads(cols)
-                if block.shape != (cols.stop - cols.start, inverse.size):
-                    raise DataError(
-                        f"gradient block shape {block.shape} does not match ids {inverse.size}"
-                    )
-                for c, column in enumerate(block, start=cols.start):
-                    summed[:, c] = np.bincount(inverse, weights=column, minlength=unique.size)
+                for (unique, inverse), summed, block in zip(sources, sums, grads(cols)):
+                    if block.shape != (cols.stop - cols.start, inverse.size):
+                        raise DataError(
+                            f"gradient block shape {block.shape} does not match ids {inverse.size}"
+                        )
+                    for c, column in enumerate(block, start=cols.start):
+                        summed[:, c] = np.bincount(inverse, weights=column, minlength=unique.size)
 
-            run_blocks(sum_block, cell_blocks(self.dim, inverse.size))
-            out[tag] = (unique, summed)
+            width = sum(inverse.size for _, inverse in sources)
+            run_blocks(sum_block, cell_blocks(self.dim, width))
+            out.update((tag, (unique, summed)) for tag, (unique, _), summed in zip(tags, sources, sums))
         return out
 
 
@@ -182,9 +200,40 @@ def _compose(acc: GradientAccumulator, kind, table, span_sets: list[SpanSet]):
     )
     composition = SpanComposition(kind, table.matrix, joined)
     upstream = np.empty_like(composition.values)
-    acc.add(table.language_tag, composition.span.ids, partial(composition.position_grads, upstream))
+
+    def grads(cols):
+        return (composition.position_grads(upstream[:, cols].T, cols),)
+
+    acc.add(table.language_tag, composition.span.ids, grads)
     bounds = np.cumsum([s.n for s in span_sets[:-1]])
     return zip(np.split(composition.values, bounds), np.split(upstream, bounds))
+
+
+def _pair_pass(acc: GradientAccumulator, kind, tables: TablePair, pairs: PairBatch) -> np.ndarray:
+    """Adds to ``acc`` the one backward of a batch of pairs alone, shared by
+    both languages: for one block of columns it composes both sides
+    (:meth:`SpanComposition.forward`), writes ``v1 - v2`` into the returned
+    C-ordered (n_pairs, d) array, and pushes the upstreams ``+-2 (v1 - v2)``
+    down through each side's forward block, with no second gather. So the
+    array holds the pair term's differences, bit for bit those of
+    :func:`_pair_term`, once ``acc.coalesce()`` has run."""
+    sides = [
+        SpanComposition(kind, tables.by_tag(tag).matrix, side, _forward=False)
+        for tag, side in ((pairs.tag_l1, pairs.side_l1), (pairs.tag_l2, pairs.side_l2))
+    ]
+    diff = np.empty((pairs.n, tables.dim), dtype=np.float64)
+
+    def backward(cols):
+        (block1, sums1), (block2, sums2) = (side.forward(cols) for side in sides)
+        d = sums1 - sums2
+        diff[:, cols] = d.T
+        grads2 = sides[1].position_grads(d * -2.0, cols, block2)
+        del block2  # freed before the l1 side's backward
+        return sides[0].position_grads(d * 2.0, cols, block1), grads2
+
+    for tag, side in zip((pairs.tag_l1, pairs.tag_l2), sides):
+        acc.add(tag, side.span.ids, backward)
+    return diff
 
 
 def _squared_norm(matrix: np.ndarray, ids: np.ndarray) -> float:
@@ -206,12 +255,14 @@ def _add_scaled_rows(summed: np.ndarray, scale: float, matrix: np.ndarray, ids: 
     run_blocks(block, cell_blocks(*summed.shape))
 
 
-def _batch_loss(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, lam):
-    """The loss half of :func:`batch_loss_and_grad`: the composed terms, and
-    the regularizer on the touched rows, found from the composed ids before
-    any gradient is computed. Returns the breakdown, the accumulator holding
-    the backward, and the regularizer's ``lam_eff``, or None when it adds
-    nothing (``lam == 0`` or no row touched)."""
+def _batch(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, lam, with_grad):
+    """The loss of :func:`batch_loss_and_grad` and, ``with_grad``, its
+    gradient. The regularizer's touched rows come from the composed ids,
+    before any gradient is computed. A Bi batch of pairs alone takes one
+    pass over the columns for its forward and backward (:func:`_pair_pass`)
+    when the gradient is asked for; every other batch, and the loss alone,
+    composes each language first and runs the backward in the accumulator.
+    Returns the breakdown and the gradient, or None without it."""
     kind = CompositionKind.coerce(kind)
     if margin < 0:
         raise DataError(f"margin must be >= 0, got {margin}")
@@ -228,25 +279,28 @@ def _batch_loss(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, marg
     if triple_l2 is not None and triple_l2.language_tag != tag2:
         raise DataError(f"mono_samples_l2 carries tag {triple_l2.language_tag!r}, expected {tag2!r}")
 
-    # each language's span sets, composed together in the order pair side,
-    # outer, inner, noise; the terms take their views back in that order
-    span_sets: dict[str, list[SpanSet]] = {}
-    if pair_batch:
-        span_sets.setdefault(pair_batch.tag_l1, []).append(pair_batch.side_l1)
-        span_sets.setdefault(pair_batch.tag_l2, []).append(pair_batch.side_l2)
-    for triple in (triple_l1, triple_l2):
-        if triple:
-            span_sets.setdefault(triple.language_tag, []).extend(
-                (triple.outer, triple.inner, triple.noise)
-            )
-    views = {tag: _compose(acc, kind, tables.by_tag(tag), sets) for tag, sets in span_sets.items()}
-
-    l_bi, l_mono = 0.0, [0.0, 0.0]
-    if pair_batch:
-        l_bi = _pair_term(next(views[pair_batch.tag_l1]), next(views[pair_batch.tag_l2]))
-    for i, triple in enumerate((triple_l1, triple_l2)):
-        if triple:
-            l_mono[i] = _triple_term(*views[triple.language_tag], triple, margin)
+    l_bi, l_mono, diff = 0.0, [0.0, 0.0], None
+    if with_grad and kind is CompositionKind.BI and pair_batch and not (triple_l1 or triple_l2):
+        diff = _pair_pass(acc, kind, tables, pair_batch)
+    else:
+        # each language's span sets, composed together in the order pair
+        # side, outer, inner, noise; the terms take their views back in
+        # that order
+        span_sets: dict[str, list[SpanSet]] = {}
+        if pair_batch:
+            span_sets.setdefault(pair_batch.tag_l1, []).append(pair_batch.side_l1)
+            span_sets.setdefault(pair_batch.tag_l2, []).append(pair_batch.side_l2)
+        for triple in (triple_l1, triple_l2):
+            if triple:
+                span_sets.setdefault(triple.language_tag, []).extend(
+                    (triple.outer, triple.inner, triple.noise)
+                )
+        views = {tag: _compose(acc, kind, tables.by_tag(tag), sets) for tag, sets in span_sets.items()}
+        if pair_batch:
+            l_bi = _pair_term(next(views[pair_batch.tag_l1]), next(views[pair_batch.tag_l2]))
+        for i, triple in enumerate((triple_l1, triple_l2)):
+            if triple:
+                l_mono[i] = _triple_term(*views[triple.language_tag], triple, margin)
 
     touched = acc.touched()
     n_touched = sum(ids.size for ids in touched.values())
@@ -256,7 +310,20 @@ def _batch_loss(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, marg
         for tag in (tag1, tag2):
             if tag in touched:
                 reg += lam_eff * _squared_norm(tables.by_tag(tag).matrix, touched[tag])
-    return LossBreakdown.of(l_bi, *l_mono, reg), acc, lam_eff
+    if not with_grad:
+        return LossBreakdown.of(l_bi, *l_mono, reg), None
+
+    grads = acc.coalesce()
+    if diff is not None:
+        np.multiply(diff, diff, out=diff)
+        l_bi = float(diff.sum())
+    # the regularizer's rows are gathered again from the tables, which no
+    # step has written yet, and added after the data sums, so every per-row
+    # sum keeps a fixed order
+    if lam_eff is not None:
+        for tag, (ids, summed) in grads.items():
+            _add_scaled_rows(summed, 2.0 * lam_eff, tables.by_tag(tag).matrix, ids)
+    return LossBreakdown.of(l_bi, *l_mono, reg), grads
 
 
 def batch_loss_and_grad(
@@ -280,23 +347,13 @@ def batch_loss_and_grad(
     lam_eff * ||w||^2 with gradient 2 * lam_eff * w, where
     lam_eff = lam * touched_rows / total_rows.
     """
-    loss, acc, lam_eff = _batch_loss(
-        bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, lam
-    )
-    grads = acc.coalesce()
-    # the regularizer's rows are gathered again from the tables, which no
-    # step has written yet, and added after the data sums, so every per-row
-    # sum keeps a fixed order
-    if lam_eff is not None:
-        for tag, (ids, summed) in grads.items():
-            _add_scaled_rows(summed, 2.0 * lam_eff, tables.by_tag(tag).matrix, ids)
-    return loss, grads
+    return _batch(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, lam, True)
 
 
 def batch_loss(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind="add",
                margin: float = 40.0, lam: float = 1.0) -> LossBreakdown:
     """The loss of :func:`batch_loss_and_grad`, without its backward (used by
-    finite-difference oracles)."""
-    return _batch_loss(
-        bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, lam
+    finite-difference oracles): every batch is composed forward only."""
+    return _batch(
+        bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, lam, False
     )[0]

@@ -26,6 +26,7 @@ from .corpus import (
     ParallelCorpus,
     Vocabulary,
     atomic_write,
+    is_file_name,
     numbered_lines,
     sample_bilingual_pairs,
     sample_phrase_triples,
@@ -369,8 +370,11 @@ def load_checkpoint(path):
     version = member("version", "an integer", integer)
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    tag1, tag2 = member("tags", "two language tags",
-                        lambda a: [str(t) for t in a] if a.shape == (2,) else None)
+    def tag_pair(a):
+        tags = [str(t) for t in a] if a.shape == (2,) else []
+        return tags if tags and all(map(is_file_name, tags)) else None
+
+    tag1, tag2 = member("tags", "two language tags, each one plain file name", tag_pair)
     t1, t2 = (floats(name, "a 2-D float table", lambda a: a.ndim == 2)
               for name in ("table_l1", "table_l2"))
     g1, g2 = (

@@ -5,10 +5,11 @@ of their arguments by position; a renamed or reordered hooked signature
 makes it report the hook or its count as absent. The first test installs
 the tracer, runs one tiny Add epoch with monolingual data, one tiny Bi
 epoch and one ``.vec`` export, and expects nothing absent and every
-counted hook to have counted. The second runs ``perfbench/smoke.py``,
-which catches a library function that the benchmark calls directly and
-that no longer fits it, and a benchmark step loop that no longer matches
-``trainer.train``.
+counted hook to have counted. The second traces a Bi epoch of pairs alone
+on its own: its one-pass backward must still run through the hooked
+calls. The third runs ``perfbench/smoke.py``, which catches a library
+function that the benchmark calls directly and that no longer fits it,
+and a benchmark step loop that no longer matches ``trainer.train``.
 """
 
 import importlib.util
@@ -57,6 +58,27 @@ def test_every_hook_is_present_and_counts(synth_world, tmp_path, monkeypatch):
         "corpus.sample", "trainer.step", "embeddings.compose_fwd", "embeddings.compose_bwd",
         "objective.scatter", "objective.coalesce", "trainer.update", "embeddings.vec_write",
     }
+
+
+def test_bi_pairs_only_epoch_runs_through_the_hooks(synth_world, monkeypatch):
+    # a Bi batch of pairs alone is composed and differentiated in one pass
+    # over the columns; that pass must still go through the hooked calls,
+    # which the benchmark's Bi layer metrics read
+    spans = load_spans(monkeypatch)
+    data = replace(build_training_data(synth_world), mono_l1=None, mono_l2=None)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        train(data, TrainConfig(dim=4, epochs=1, batch_size=64, composition="bi"))
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    assert {s.name for s in tracer.spans} >= {
+        "embeddings.compose_fwd", "embeddings.compose_bwd", "objective.scatter",
+        "objective.coalesce",
+    }
+    for name in ("embeddings.positions", "objective.scatter_rows", "objective.touched_rows"):
+        assert tracer.counts[name] > 0, name
 
 
 def test_benchmark_smoke_check_passes():

@@ -147,6 +147,28 @@ class TestPreprocessCommand:
         assert err.count("\n") == 1 and f"configuration error: {message}" in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("tag", ["", ".", "..", "../escaped", "a/b", "a\\b", "nul\0"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_tag_that_is_no_plain_file_name_is_usage_error(self, tiny_corpus, tmp_path, capsys,
+                                                           tag, source):
+        # the tag names the language's files: a path in it would write
+        # outside --outdir
+        outdir = tmp_path / "out" / "data"
+        before = sorted(tmp_path.rglob("*"))
+        argv = preprocess_args(tiny_corpus, outdir)
+        if source == "flag":
+            argv += ["--l1-tag", tag]
+        else:
+            (tmp_path / "run.cfg").write_text(f"l1_tag = {tag}\n")
+            before = sorted(tmp_path.rglob("*"))
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"configuration error: l1_tag must be one plain file name, got {tag!r}" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_config_file_with_unknown_key_is_usage_error(self, tiny_corpus, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = yes\n")
@@ -280,6 +302,17 @@ class TestTrainCommand:
         assert not (outdir / "checkpoint.npz").exists()
         assert not list(outdir.glob("*.tmp")) and not list(outdir.glob("*.vec"))
 
+    @pytest.mark.parametrize("flag", ["--l1-tag", "--l2-tag"])
+    def test_tag_that_is_no_plain_file_name_is_usage_error(self, prepared, tmp_path, capsys,
+                                                           flag):
+        before = sorted(tmp_path.rglob("*"))
+        assert main(train_args(prepared, tmp_path / "out", flag, "../prep/en")) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        name = flag[2:].replace("-", "_")
+        assert f"configuration error: {name} must be one plain file name, got '../prep/en'" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_resume_past_target_is_usage_error(self, prepared, tmp_path, capsys):
         outdir = tmp_path / "model"
         assert main(train_args(prepared, outdir, "--epochs", "3")) == 0
@@ -398,6 +431,8 @@ MALFORMED_MEMBERS = [
     ("config", lambda z: config_with(z, mix=["a", 0.5, 0.5])),
     ("config", lambda z: config_with(z, dim=0)),
     ("config", lambda z: config_with(z, lam=10**400)),
+    ("tags", lambda z: np.array(["../en", "de"])),
+    ("tags", lambda z: np.array(["en", ".."])),
 ]
 
 
@@ -470,6 +505,30 @@ class TestExportCommand:
         assert err.count("\n") == 1
         assert f"{bad}: checkpoint member {member!r} is not" in err
         assert not (tmp_path / "exported").exists()
+
+
+@pytest.mark.parametrize("command", ["export", "resume"])
+def test_checkpoint_tag_that_is_no_plain_file_name_is_data_error(model_dir, prepared, tmp_path,
+                                                                 capsys, command):
+    # the tag would name the exported file: '../escaped' writes beside --outdir
+    with np.load(model_dir / "checkpoint.npz") as z:
+        arrays = dict(z)
+    arrays["tags"] = np.array(["../escaped", "de"])
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    before = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    capsys.readouterr()
+    if command == "export":
+        argv = ["export", "--checkpoint", str(bad), "--vocab-l1", str(prepared / "en.vocab"),
+                "--vocab-l2", str(prepared / "de.vocab"), "--outdir", str(tmp_path / "out")]
+    else:
+        argv = train_args(prepared, tmp_path / "out", "--epochs", "3", "--resume-from", str(bad))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert f"{bad}: checkpoint member 'tags' is not two language tags, each one plain file name" in err
+    # no file: train makes its empty --outdir before it reads the checkpoint
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == before
 
 
 @pytest.fixture

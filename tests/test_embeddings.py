@@ -118,7 +118,7 @@ def central_difference(f, x, h=1e-5):
 def word_grads(kind, vectors, upstream) -> np.ndarray:
     """(l, d) per-word gradients of one span against one upstream vector."""
     d = len(upstream)
-    return composed(kind, vectors).position_grads(np.asarray(upstream)[None], slice(0, d)).T
+    return composed(kind, vectors).position_grads(np.asarray(upstream)[:, None], slice(0, d)).T
 
 
 class TestComposeBackward:
@@ -266,7 +266,7 @@ class TestSpanComposition:
         id_lists = [rng.integers(0, 12, size=rng.integers(2, 6)) for _ in range(5)]
         upstream = rng.normal(size=(5, 3))
         batch = SpanComposition(kind, matrix, spans(*id_lists))
-        grads = batch.position_grads(upstream, slice(0, 3)).T
+        grads = batch.position_grads(upstream.T, slice(0, 3)).T
         offset = 0
         for i, ids in enumerate(id_lists):
             expected = oracle.compose_backward(kind, matrix[ids], upstream[i])
@@ -322,8 +322,17 @@ class TestSpanComposition:
 
         assert batch.values.flags.c_contiguous
         assert np.array_equal(batch.values, values)
+        # without values, as the one-pass train step composes: the same
+        # sums block by block, and the same backward from the forward block
+        unvalued = SpanComposition(kind, matrix, SpanSet(ids, lengths), _forward=False)
+        assert not hasattr(unvalued, "values")
         for cols in cell_blocks(6, ids.size):
-            assert np.array_equal(batch.position_grads(upstream, cols), grads[cols])
+            assert np.array_equal(batch.position_grads(upstream[:, cols].T, cols), grads[cols])
+            block, sums = unvalued.forward(cols)
+            assert np.array_equal(sums, values[:, cols].T)
+            assert np.array_equal(
+                unvalued.position_grads(upstream[:, cols].T, cols, block), grads[cols]
+            )
 
     def test_bi_single_token_span_is_zero(self):
         batch = SpanComposition("bi", np.ones((4, 2)), spans([1], [2, 3, 1]))

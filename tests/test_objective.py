@@ -38,7 +38,7 @@ from xlembed.trainer import (
 
 def dense_grads(rows: np.ndarray):
     """The ``grads`` function of an accumulator source held as one (n, d) array."""
-    return lambda cols: rows[:, cols].T
+    return lambda cols: (rows[:, cols].T,)
 
 
 def tables_of(matrix_l1, matrix_l2) -> TablePair:
@@ -260,6 +260,26 @@ def make_world(seed, dim, vocab=12, kind="add"):
     return pb, t1, t2, tables
 
 
+def assert_matches_finite_differences(sources, tables, kind, margin, lam, h=1e-5):
+    """Every coalesced gradient cell of the batch within a relative 1e-5 of
+    the central difference of :func:`batch_loss`."""
+    _, coalesced = batch_loss_and_grad(*sources, tables, kind, margin, lam)
+    for tag, (ids, grads) in coalesced.items():
+        matrix = tables.by_tag(tag).matrix
+        for r, i in enumerate(ids):
+            for j in range(matrix.shape[1]):
+                orig = matrix[i, j]
+                matrix[i, j] = orig + h
+                fp = batch_loss(*sources, tables, kind, margin, lam).total
+                matrix[i, j] = orig - h
+                fm = batch_loss(*sources, tables, kind, margin, lam).total
+                matrix[i, j] = orig
+                fd = (fp - fm) / (2 * h)
+                analytic = grads[r, j]
+                rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-4)
+                assert rel <= 1e-5, (tag, int(i), j, analytic, fd)
+
+
 class TestBatchLossAndGrad:
     def test_empty_batch(self):
         tables = TablePair(init_table(3, 2, 0.1, 0, "en"), init_table(3, 2, 0.1, 1, "de"))
@@ -341,25 +361,18 @@ class TestBatchLossAndGrad:
 
     @pytest.mark.parametrize("kind", ["add", "bi"])
     def test_gradient_matches_finite_differences(self, kind):
-        h = 1e-5
         for seed in range(6):
             pb, t1, t2, tables = make_world(seed, 4)
-            margin, lam = 0.4, 0.7
-            _, coalesced = batch_loss_and_grad(pb, t1, t2, tables, kind, margin, lam)
-            for tag, (ids, grads) in coalesced.items():
-                matrix = tables.by_tag(tag).matrix
-                for r, i in enumerate(ids):
-                    for j in range(matrix.shape[1]):
-                        orig = matrix[i, j]
-                        matrix[i, j] = orig + h
-                        fp = batch_loss(pb, t1, t2, tables, kind, margin, lam).total
-                        matrix[i, j] = orig - h
-                        fm = batch_loss(pb, t1, t2, tables, kind, margin, lam).total
-                        matrix[i, j] = orig
-                        fd = (fp - fm) / (2 * h)
-                        analytic = grads[r, j]
-                        rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-4)
-                        assert rel <= 1e-5, (tag, int(i), j, analytic, fd)
+            assert_matches_finite_differences((pb, t1, t2), tables, kind, 0.4, 0.7)
+
+    @pytest.mark.parametrize("kind", ["add", "bi"])
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_pairs_only_gradient_matches_finite_differences(self, kind, dim):
+        # a Bi batch of pairs alone takes its one-pass backward; the loss
+        # of the differences is the forward-only batch_loss
+        for seed in range(4):
+            pb, _, _, tables = make_world(seed, dim)
+            assert_matches_finite_differences((pb, None, None), tables, kind, 0.4, 0.7)
 
 
 @pytest.fixture(scope="module")
@@ -389,31 +402,30 @@ class TestBatchBits:
     @pytest.mark.parametrize("kind", ["add", "bi"])
     def test_column_block_width_keeps_bits(self, kind, synth_batch, monkeypatch):
         batch, tables = synth_batch
-        digests = []
-        for cells in (1, embeddings.BLOCK_CELLS, 10**9):  # one column, default, all columns
-            monkeypatch.setattr(embeddings, "BLOCK_CELLS", cells)
-            breakdown, coalesced = batch_loss_and_grad(
-                batch.pairs, batch.mono_l1, batch.mono_l2, tables, kind, 40.0, 1.0
-            )
-            digests.append(batch_digest(breakdown, coalesced))
-        assert digests[0] == digests[1] == digests[2]
+        # the mixed batch, and its pairs alone (Bi's one-pass backward)
+        for sources in ((batch.pairs, batch.mono_l1, batch.mono_l2), (batch.pairs, None, None)):
+            digests = []
+            for cells in (1, embeddings.BLOCK_CELLS, 10**9):  # one column, default, all columns
+                monkeypatch.setattr(embeddings, "BLOCK_CELLS", cells)
+                breakdown, coalesced = batch_loss_and_grad(*sources, tables, kind, 40.0, 1.0)
+                digests.append(batch_digest(breakdown, coalesced))
+            assert digests[0] == digests[1] == digests[2]
 
     @pytest.mark.parametrize("kind", ["add", "bi"])
     def test_thread_count_keeps_bits(self, kind, synth_batch, one_column_blocks):
         batch, tables = synth_batch
-        digests = []
         interval = sys.getswitchinterval()
-        for workers in (1, 4):  # inline, and more threads than cores
-            one_column_blocks(workers)
-            sys.setswitchinterval(1e-6)  # threads switch often inside each block
-            try:
-                breakdown, coalesced = batch_loss_and_grad(
-                    batch.pairs, batch.mono_l1, batch.mono_l2, tables, kind, 40.0, 1.0
-                )
-            finally:
-                sys.setswitchinterval(interval)
-            digests.append(batch_digest(breakdown, coalesced))
-        assert digests[0] == digests[1]
+        for sources in ((batch.pairs, batch.mono_l1, batch.mono_l2), (batch.pairs, None, None)):
+            digests = []
+            for workers in (1, 4):  # inline, and more threads than cores
+                one_column_blocks(workers)
+                sys.setswitchinterval(1e-6)  # threads switch often inside each block
+                try:
+                    breakdown, coalesced = batch_loss_and_grad(*sources, tables, kind, 40.0, 1.0)
+                finally:
+                    sys.setswitchinterval(interval)
+                digests.append(batch_digest(breakdown, coalesced))
+            assert digests[0] == digests[1]
 
     def test_golden_add_batch(self, synth_batch):
         # the loss and coalesced gradient bits of the batch path with span
@@ -467,9 +479,9 @@ def per_set_reference(pairs, mono_l1, mono_l2, tables, kind, margin, lam):
         add(tag, cn, (a * ratio)[:, None] * 2.0 * diff_no)
     for tag, sets in parts.items():
         ids = np.concatenate([c.span.ids for c, _ in sets])
-        acc.add(tag, ids, lambda cols, sets=sets: np.concatenate(
-            [c.position_grads(up, cols) for c, up in sets], axis=1
-        ))
+        acc.add(tag, ids, lambda cols, sets=sets: (np.concatenate(
+            [c.position_grads(up[:, cols].T, cols) for c, up in sets], axis=1
+        ),))
     touched = acc.touched()
     n_touched = sum(ids.size for ids in touched.values())
     reg, reg_rows = 0.0, {}
@@ -557,6 +569,17 @@ class TestPerLanguageComposition:
         one_column_blocks(2)
         self.assert_same(batch_loss_and_grad(*sources, tables, kind, 40.0, 1.0), expected)
 
+    @pytest.mark.parametrize("kind", ["add", "bi"])
+    def test_pairs_only_batch_matches_per_set_reference(self, kind, synth_batch,
+                                                        one_column_blocks):
+        # under Bi, the one pass over the columns that composes and
+        # differentiates both sides
+        batch, tables = synth_batch
+        expected = per_set_reference(batch.pairs, None, None, tables, kind, 40.0, 1.0)
+        one_column_blocks(2)
+        self.assert_same(batch_loss_and_grad(batch.pairs, None, None, tables, kind, 40.0, 1.0),
+                         expected)
+
 
 class TestGradientAccumulator:
     def test_absent_key_reads_zero(self):
@@ -599,14 +622,16 @@ class TestGradientAccumulator:
         assert acc.coalesce()["en"][1].tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_coalesce_frees_backward_context(self, synth_batch, monkeypatch):
-        # every composition of an Add+Bi batch is gone once coalesce has
-        # summed the gradient, while the accumulator itself still exists
+        # every composition of an Add and a Bi mixed batch and of a Bi batch
+        # of pairs alone (composed in the one-pass backward) is gone once
+        # coalesce has summed the gradient, while the accumulator itself
+        # still exists
         batch, tables = synth_batch
         refs, alive = [], []
 
         class Tracked(embeddings.SpanComposition):
-            def __init__(self, *args):
-                super().__init__(*args)
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 refs.append(weakref.ref(self))
 
         coalesce = GradientAccumulator.coalesce
@@ -620,9 +645,36 @@ class TestGradientAccumulator:
         monkeypatch.setattr(GradientAccumulator, "coalesce", checked_coalesce)
         for kind in ("add", "bi"):
             batch_loss_and_grad(batch.pairs, batch.mono_l1, batch.mono_l2, tables, kind, 40.0, 1.0)
-        assert len(refs) == 2 * 2  # one per language, per kind
-        assert alive == [0, 0]
+        batch_loss_and_grad(batch.pairs, None, None, tables, "bi", 40.0, 1.0)
+        assert len(refs) == 3 * 2  # one per language, per batch
+        assert alive == [0, 0, 0]
         assert all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("cells", [1, 10**9])
+    def test_shared_function_returns_one_block_per_language(self, cells, monkeypatch):
+        # one function added for two languages is asked once per column
+        # block and returns one block per language, in the order added
+        monkeypatch.setattr(embeddings, "BLOCK_CELLS", cells)
+        rng = np.random.default_rng(6)
+        sources = {tag: (rng.integers(0, 9, size=n), rng.normal(size=(n, 3)))
+                   for tag, n in (("en", 5), ("de", 8))}
+        calls = []
+
+        def both(cols):
+            calls.append(cols)
+            return tuple(rows[:, cols].T for _, rows in sources.values())
+
+        acc = GradientAccumulator(3)
+        for tag, (ids, _) in sources.items():
+            acc.add(tag, ids, both)
+        coalesced = acc.coalesce()
+        assert len(calls) == (3 if cells == 1 else 1)
+        for tag, (source_ids, rows) in sources.items():
+            unique, inverse = np.unique(source_ids, return_inverse=True)
+            expected = np.zeros((unique.size, 3))
+            np.add.at(expected, inverse, rows)
+            assert coalesced[tag][0].tolist() == unique.tolist()
+            assert np.allclose(coalesced[tag][1], expected, rtol=0, atol=1e-12)
 
     def test_second_coalesce_is_empty(self):
         acc = GradientAccumulator(2)

@@ -368,8 +368,9 @@ class TestRowBlocks:
         assert str(info.value) == "non-finite weights or accumulators after update in 'de'"
 
     @staticmethod
-    def failing_step(tables, state, pair, lr):
-        config = TrainConfig(dim=2, lam=0.0, learning_rate=lr, batch_size=1)
+    def failing_step(tables, state, pair, lr, composition="add"):
+        config = TrainConfig(dim=2, lam=0.0, learning_rate=lr, batch_size=1,
+                             composition=composition)
         before = [a.copy() for a in arrays(tables, state)]
         with pytest.raises(TrainingError) as info:
             train_step(Batch(pairs=pair), tables, state, config)
@@ -390,6 +391,24 @@ class TestRowBlocks:
         pair = PairBatch("en", "de", spans(list(range(10)), [10, 11]),
                          spans(list(range(5)), [6, 7]))
         assert self.failing_step(tables, state, pair, 0.1) == (
+            "non-finite gradient for 'en' rows [10, 11]"
+        )
+
+    @pytest.mark.parametrize("table_order,g_order", LAYOUTS)
+    def test_nan_row_under_bi_pairs_step_writes_nothing(self, one_column_blocks, table_order,
+                                                        g_order):
+        # a Bi batch of pairs alone takes the one-pass backward; the NaN in
+        # en row 10 reaches the second pair's bigram, so only en rows 10
+        # and 11 (and the de rows of that pair) get a non-finite gradient
+        one_column_blocks(2)
+        en = np.full((12, 2), 0.25)
+        en[10, 1] = np.nan
+        tables = TablePair(EmbeddingTable(en, "en"), EmbeddingTable(np.full((12, 2), 0.5), "de"))
+        state = AdaGradState.zeros(tables)
+        laid_out(tables, state, table_order, g_order)
+        pair = PairBatch("en", "de", spans(list(range(10)), [10, 11]),
+                         spans(list(range(5)), [6, 7]))
+        assert self.failing_step(tables, state, pair, 0.1, "bi") == (
             "non-finite gradient for 'en' rows [10, 11]"
         )
 
