@@ -382,7 +382,6 @@ def run_train(args) -> int:
         raise ConfigError(f"checkpoint_every must be >= 0, got {settings['checkpoint_every']}")
     _require_files(args.resume_from)
     data = _load_training_data(args.data_dir, settings)
-    os.makedirs(args.outdir, exist_ok=True)
 
     log_handle = None  # opened at the first loss line: a refused run keeps an earlier log
 

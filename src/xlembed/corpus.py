@@ -8,9 +8,11 @@ line i of one file aligned to line i of the other.
 
 from __future__ import annotations
 
+import array
 import collections
 import contextlib
 import functools
+import numbers
 import os
 import re
 from dataclasses import dataclass
@@ -24,6 +26,11 @@ UNK_ID = 0
 
 # Sampled phrases (outer, inner, and noise spans) never have fewer words.
 MIN_SPAN_LEN = 3
+
+INT32_MAX = int(np.iinfo(np.int32).max)
+
+# save_ids formats this many sentences at a time from one list of Python ints
+IDS_WRITE_BLOCK = 1 << 10
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +137,8 @@ class Vocabulary:
         self.id_to_token = [UNK_TOKEN, *tokens]
         self.counts = np.empty(len(self.id_to_token), dtype=np.int64)
         self.counts[0] = unk_count
-        self.counts[1:] = list(counts)
-        self.token_to_id = {t: i + 1 for i, t in enumerate(tokens)}
-        self.token_to_id[UNK_TOKEN] = UNK_ID
+        self.counts[1:] = counts
+        self.token_to_id = dict(zip(self.id_to_token, range(len(self.id_to_token))))
         if len(self.token_to_id) != len(self.id_to_token):
             raise DataError("duplicate tokens in vocabulary")
 
@@ -231,6 +237,15 @@ def iter_tokens(lines, lowercase: bool = False):
 # encoded sentences and corpora
 
 
+def _token_ids(raw_sentence: str, vocab: Vocabulary, lowercase: bool, corpus_vocab) -> list[int]:
+    tokens = raw_sentence.split()
+    if lowercase:
+        tokens = [t.lower() for t in tokens]
+    if corpus_vocab is None:
+        return [vocab.id_for(t) for t in tokens]
+    return [vocab.id_for(t) if t in corpus_vocab else UNK_ID for t in tokens]
+
+
 def encode(
     raw_sentence: str,
     vocab: Vocabulary,
@@ -244,43 +259,89 @@ def encode(
     vocabulary also map to UNK even if the language vocabulary knows them
     (per-corpus UNK thresholds apply to each corpus separately).
     """
-    tokens = raw_sentence.split()
-    if lowercase:
-        tokens = [t.lower() for t in tokens]
-    if corpus_vocab is None:
-        ids = [vocab.id_for(t) for t in tokens]
-    else:
-        ids = [vocab.id_for(t) if t in corpus_vocab else UNK_ID for t in tokens]
-    return np.asarray(ids, dtype=np.int32)
+    return np.asarray(_token_ids(raw_sentence, vocab, lowercase, corpus_vocab), dtype=np.int32)
+
+
+def _refuse_sentences(sentences, language_tag: str):
+    """Raise the DataError naming the first sentence that is not a non-empty
+    1-D sequence of integer ids in the int32 range: the slow path of
+    ``EncodedCorpus(sentences)`` when they do not concatenate to one 1-D
+    integer array."""
+    corpus = f"{language_tag!r} corpus"
+    for i, ids in enumerate(sentences):
+        try:
+            row = np.ndim(ids) == 1
+        except ValueError:  # ragged nesting
+            row = False
+        if not row:
+            raise DataError(f"{corpus} sentence {i} is not a 1-D sequence of ids")
+        if len(ids) == 0:
+            raise DataError(f"{corpus} sentence {i} holds no words")
+        for v in ids:
+            if not isinstance(v, numbers.Integral):
+                raise DataError(f"{corpus} sentence {i} holds the non-integer id {v}")
+            if v < 0:
+                raise DataError(f"{corpus} holds the negative id {v}")
+            if v > INT32_MAX:
+                raise DataError(f"{corpus} holds the id {v}, outside the int32 range")
+    raise DataError(f"{corpus} sentences do not form one integer id array")
 
 
 class EncodedCorpus:
-    """Encoded sentences of one language, stored flat with offsets. Every
-    sentence holds at least one word, and every id is >= 0.
+    """Encoded sentences of one language, stored flat with offsets: int32
+    ids in ``flat``, int64 ``lengths`` and ``offsets``. Every sentence holds
+    at least one word, and every id is >= 0.
 
+    Every constructor builds the two flat buffers directly and ends in the
+    checks of :meth:`from_flat`; none holds one array per sentence.
     Read-only after construction; safe to share across samplers and workers.
     """
 
     def __init__(self, sentences, language_tag: str = ""):
-        arrays = [np.asarray(ids, dtype=np.int32) for ids in sentences]
-        flat = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int32)
-        self._set(flat, np.array([a.size for a in arrays], dtype=np.int64), language_tag)
-
-    def _set(self, flat, lengths, language_tag: str) -> "EncodedCorpus":
-        """Every construction ends here: int32 ids end to end, int64 lengths."""
-        if lengths.size and lengths.min() < 1:
-            raise DataError(f"{language_tag!r} corpus sentence {lengths.argmin()} holds no words")
-        if flat.size and flat.min() < 0:
-            raise DataError(f"{language_tag!r} corpus holds the negative id {flat.min()}")
-        self.language_tag, self.flat, self.lengths = language_tag, flat, lengths
-        self.offsets = np.concatenate([[0], np.cumsum(lengths)])
-        # only sentences long enough to host a phrase are sampled monolingually
-        self.eligible = np.flatnonzero(lengths >= MIN_SPAN_LEN)
-        return self
+        """From an iterable of sentences, each a 1-D integer array or a list of ints."""
+        if not isinstance(sentences, list):
+            sentences = list(sentences)
+        try:
+            lengths = np.fromiter(map(len, sentences), np.int64, count=len(sentences))
+            flat = np.concatenate(sentences) if sentences else np.zeros(0, dtype=np.int32)
+        except (TypeError, ValueError):
+            flat = None
+        if flat is None or flat.ndim != 1 or flat.dtype.kind not in "iu":
+            _refuse_sentences(sentences, language_tag)
+        self._set(flat, lengths, language_tag)
 
     @classmethod
-    def _from_flat(cls, flat, lengths, language_tag: str) -> "EncodedCorpus":
+    def from_flat(cls, flat, lengths, language_tag: str = "") -> "EncodedCorpus":
+        """The corpus of ``len(lengths)`` sentences whose sentence i is
+        ``flat[offsets[i]:offsets[i + 1]]``, ``offsets`` being the running
+        sum of ``lengths``. Both may be 1-D arrays of any integer dtype;
+        int32 ids and int64 lengths are kept without a copy."""
         return cls.__new__(cls)._set(flat, lengths, language_tag)
+
+    def _set(self, flat, lengths, language_tag: str) -> "EncodedCorpus":
+        """Every construction ends here: the checks, then int32 ids and int64 lengths."""
+        corpus = f"{language_tag!r} corpus"
+        flat, lengths = np.asarray(flat), np.asarray(lengths)
+        for name, a in (("ids", flat), ("lengths", lengths)):
+            if a.ndim != 1 or a.dtype.kind not in "iu":
+                raise DataError(
+                    f"{corpus} {name} are not one 1-D integer array ({a.dtype}, shape {a.shape})"
+                )
+        if lengths.size and lengths.min() < 1:
+            raise DataError(f"{corpus} sentence {lengths.argmin()} holds no words")
+        if lengths.sum() != flat.size:
+            raise DataError(f"{corpus} lengths add up to {lengths.sum()} ids, but it holds {flat.size}")
+        if flat.size and flat.min() < 0:
+            raise DataError(f"{corpus} holds the negative id {flat.min()}")
+        if flat.size and not np.can_cast(flat.dtype, np.int32) and flat.max() > INT32_MAX:
+            raise DataError(f"{corpus} holds the id {flat.max()}, outside the int32 range")
+        self.language_tag = language_tag
+        self.flat = flat.astype(np.int32, copy=False)
+        self.lengths = lengths.astype(np.int64, copy=False)
+        self.offsets = np.concatenate([[0], np.cumsum(self.lengths)])
+        # only sentences long enough to host a phrase are sampled monolingually
+        self.eligible = np.flatnonzero(self.lengths >= MIN_SPAN_LEN)
+        return self
 
     def __len__(self) -> int:
         return int(self.lengths.size)
@@ -300,15 +361,21 @@ class EncodedCorpus:
         lowercase: bool = False,
         corpus_vocab: Vocabulary | None = None,
     ) -> "EncodedCorpus":
-        return cls(
-            [encode(ln, vocab, lowercase, corpus_vocab) for ln in lines],
-            language_tag=vocab.language_tag,
+        """``encode`` of every line, appended to one id buffer."""
+        ids, lengths = array.array("i"), array.array("q")
+        for line in lines:
+            before = len(ids)
+            ids.extend(_token_ids(line, vocab, lowercase, corpus_vocab))
+            lengths.append(len(ids) - before)
+        return cls.from_flat(
+            np.frombuffer(ids, dtype=np.int32), np.frombuffer(lengths, dtype=np.int64),
+            vocab.language_tag,
         )
 
     def concat(self, other: "EncodedCorpus") -> "EncodedCorpus":
         if other.language_tag != self.language_tag:
             raise DataError("cannot concatenate corpora of different languages")
-        return self._from_flat(
+        return self.from_flat(
             np.concatenate([self.flat, other.flat]),
             np.concatenate([self.lengths, other.lengths]),
             self.language_tag,
@@ -317,23 +384,29 @@ class EncodedCorpus:
     def save_ids(self, path) -> None:
         """One sentence per line, ids space-separated."""
         with atomic_write(path) as f:
-            for i in range(len(self)):
-                f.write(" ".join(map(str, self.sentence_ids(i))))
-                f.write("\n")
+            for first in range(0, len(self), IDS_WRITE_BLOCK):
+                bounds = self.offsets[first : first + IDS_WRITE_BLOCK + 1]
+                ids = self.flat[bounds[0] : bounds[-1]].tolist()
+                bounds = (bounds - bounds[0]).tolist()
+                f.writelines(" ".join(map(str, ids[a:b])) + "\n" for a, b in zip(bounds, bounds[1:]))
 
     @classmethod
     def load_ids(cls, path, language_tag: str = "") -> "EncodedCorpus":
-        arrays = []
+        ids, lengths = array.array("i"), array.array("q")
         for lineno, line in numbered_lines(path):
-            if not line.strip():
+            tokens = line.split()
+            if not tokens:
                 raise DataError(f"{path}:{lineno}: empty sentence line")
             try:
-                arrays.append(np.array([int(t) for t in line.split()], dtype=np.int32))
+                ids.extend(map(int, tokens))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-integer token id")
             except OverflowError:
                 raise DataError(f"{path}:{lineno}: token id outside the int32 range")
-        return cls(arrays, language_tag=language_tag)
+            lengths.append(len(tokens))
+        return cls.from_flat(
+            np.frombuffer(ids, dtype=np.int32), np.frombuffer(lengths, dtype=np.int64), language_tag
+        )
 
 
 class ParallelCorpus:
@@ -358,7 +431,7 @@ class ParallelCorpus:
             raise ConfigError(f"pair limit must be >= 0, got {n}")
         keep = min(n, len(self))
         l1, l2 = (
-            c._from_flat(c.flat[: c.offsets[keep]].copy(), c.lengths[:keep].copy(), c.language_tag)
+            c.from_flat(c.flat[: c.offsets[keep]].copy(), c.lengths[:keep].copy(), c.language_tag)
             for c in (self.l1, self.l2)
         )
         return ParallelCorpus(l1, l2)

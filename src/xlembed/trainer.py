@@ -432,6 +432,10 @@ def train(
     An epoch presents as many samples as the largest configured corpus,
     rounded to whole batches (at least one). Sampling is with replacement;
     the epoch is a counting unit, not a permutation of the corpus.
+
+    The directory of ``checkpoint_path`` is made only once every check has
+    passed, ``resume_from``'s checkpoint included: a refused run leaves
+    nothing on disk.
     """
     config.validate()
     if checkpoint_every < 0:
@@ -482,6 +486,8 @@ def train(
     if start_epoch > epochs:
         raise ConfigError(f"checkpoint epoch {start_epoch} is past the target of {epochs} epochs")
     steps_per_epoch = max(1, round(max(sizes) / config.batch_size))
+    if checkpoint_path:
+        os.makedirs(os.path.dirname(checkpoint_path) or os.curdir, exist_ok=True)
 
     # the checkpoint only ever holds an epoch boundary, under its true epoch:
     # a failure or interrupt saves nothing, and saves are atomic

@@ -336,6 +336,12 @@ class TestTrainCommand:
         assert code == 1
         assert log.read_bytes() == before
 
+    def test_log_file_inside_new_outdir(self, prepared, tmp_path):
+        # the run makes --outdir after its checks and before its first loss line
+        outdir = tmp_path / "model"
+        assert main(train_args(prepared, outdir, "--log-file", str(outdir / "run.log"))) == 0
+        assert len((outdir / "run.log").read_text().splitlines()) == 2
+
     @pytest.mark.parametrize("flag", ["--learning-rate", "--margin", "--lambda",
                                       "--adagrad-epsilon", "--init-sigma"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
@@ -527,8 +533,8 @@ def test_checkpoint_tag_that_is_no_plain_file_name_is_data_error(model_dir, prep
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert f"{bad}: checkpoint member 'tags' is not two language tags, each one plain file name" in err
-    # no file: train makes its empty --outdir before it reads the checkpoint
     assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == before
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xlembed import corpus as corpus_module
 from xlembed.corpus import (
     EncodedCorpus,
     ParallelCorpus,
@@ -301,6 +302,164 @@ class TestEncodedCorpus:
 
     def test_iter_tokens_lowercase(self):
         assert list(iter_tokens(["A b", "C"], lowercase=True)) == ["a", "b", "c"]
+
+
+def reference_layout(sentences):
+    """flat, lengths, offsets and eligible of a corpus, one sentence at a
+    time with Python ints: the layout every constructor must reproduce."""
+    flat = [int(v) for ids in sentences for v in ids]
+    lengths = [len(ids) for ids in sentences]
+    offsets = [0]
+    for n in lengths:
+        offsets.append(offsets[-1] + n)
+    return {
+        "flat": np.array(flat, dtype=np.int32),
+        "lengths": np.array(lengths, dtype=np.int64),
+        "offsets": np.array(offsets, dtype=np.int64),
+        "eligible": np.array([i for i, n in enumerate(lengths) if n >= 3], dtype=np.int64),
+    }
+
+
+def assert_reference_layout(corpus, sentences):
+    for name, expected in reference_layout(sentences).items():
+        got = getattr(corpus, name)
+        assert got.dtype == expected.dtype and got.tolist() == expected.tolist(), name
+
+
+def random_sentences(seed, n):
+    """n sentences of 1-7 ids, int64 views of one buffer; one id is 2**31 - 1,
+    the top of the int32 range."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 8, size=n)
+    ids = rng.integers(0, 1000, size=int(lengths.sum()))
+    if ids.size:
+        ids[rng.integers(0, ids.size)] = 2**31 - 1
+    ends = np.cumsum(lengths).tolist()
+    return [ids[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def reference_ids_text(sentences) -> bytes:
+    return "".join(" ".join(str(int(v)) for v in ids) + "\n" for ids in sentences).encode()
+
+
+def int32_views(sentences):
+    flat = np.array([int(v) for ids in sentences for v in ids], dtype=np.int32)
+    ends = np.cumsum([len(ids) for ids in sentences]).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+# the forms that EncodedCorpus(sentences) takes, made from random_sentences
+SENTENCE_FORMS = {
+    "int32 views of one buffer": int32_views,
+    "int64 arrays": lambda sentences: [ids.copy() for ids in sentences],
+    "python lists": lambda sentences: [ids.tolist() for ids in sentences],
+    "generator": lambda sentences: (ids.tolist() for ids in sentences),
+}
+
+
+# ids file text -> what load_ids' data error says
+MALFORMED_IDS = {
+    "1 2 3\n\n4 5\n": "bad.ids:2: empty sentence line",
+    "1 2 3\n \t \n": "bad.ids:2: empty sentence line",
+    "1 2 3\n4 x 6\n": "bad.ids:2: non-integer token id",
+    "1 2.0 3\n": "bad.ids:1: non-integer token id",
+    "1 2 3\n4 2147483648\n": "bad.ids:2: token id outside the int32 range",
+    "-2147483649 1\n": "bad.ids:1: token id outside the int32 range",
+    "1 2 3\n4 -1\n": "'en' corpus holds the negative id -1",
+    "1 2 3\n4 -2147483648 -5\n": "'en' corpus holds the negative id -2147483648",
+    "1 2 3\n4 \xff 6\n": "bad.ids:2: not UTF-8 text",
+}
+
+
+class TestFlatConstruction:
+    @pytest.mark.parametrize("form", list(SENTENCE_FORMS))
+    @pytest.mark.parametrize("seed, n", [(0, 0), (1, 1), (2, 5), (3, 200)])
+    def test_sentences_match_reference_layout(self, form, seed, n):
+        sentences = random_sentences(seed, n)
+        corpus = EncodedCorpus(SENTENCE_FORMS[form](sentences), "en")
+        assert_reference_layout(corpus, sentences)
+        assert corpus.language_tag == "en" and len(corpus) == n
+
+    @pytest.mark.parametrize("seed, n", [(0, 0), (4, 1), (5, 300)])
+    def test_from_flat_matches_reference_layout_and_keeps_int32_ids(self, seed, n):
+        sentences = random_sentences(seed, n)
+        flat = np.array([int(v) for ids in sentences for v in ids], dtype=np.int32)
+        lengths = np.array([len(ids) for ids in sentences], dtype=np.int64)
+        corpus = EncodedCorpus.from_flat(flat, lengths, "en")
+        assert_reference_layout(corpus, sentences)
+        assert corpus.flat is flat
+        # ids and lengths of any integer dtype give the same layout
+        wide = EncodedCorpus.from_flat(flat.astype(np.uint64), lengths.astype(np.int32), "en")
+        assert_reference_layout(wide, sentences)
+
+    @pytest.mark.parametrize("lowercase", [False, True])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_from_raw_matches_encode_of_each_line(self, lowercase, masked):
+        rng = np.random.default_rng(8)
+        words = ["Cat", "cat", "dog", "Sat", "ran", "the", "a", "here"]
+        lines = [" ".join(rng.choice(words, size=rng.integers(1, 9))) for _ in range(300)]
+        vocab = build_vocabulary(iter_tokens(lines[:200], lowercase), 2, "en")
+        corpus_vocab = build_vocabulary(iter_tokens(lines[:50], lowercase), 3, "en") if masked else None
+        corpus = EncodedCorpus.from_raw(iter(lines), vocab, lowercase, corpus_vocab)
+        assert_reference_layout(corpus, [encode(ln, vocab, lowercase, corpus_vocab) for ln in lines])
+        assert corpus.language_tag == "en"
+
+    def test_from_raw_of_no_line_and_of_an_empty_line(self):
+        vocab = build_vocabulary(["a"], 1, "en")
+        assert_reference_layout(EncodedCorpus.from_raw([], vocab), [])
+        with pytest.raises(DataError, match="'en' corpus sentence 1 holds no words"):
+            EncodedCorpus.from_raw(["a a", " ", "a"], vocab)
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
+    @pytest.mark.parametrize("n", [0, 1, 7, 9])
+    def test_ids_file_bytes_match_reference_writer(self, tmp_path, monkeypatch, block, n):
+        monkeypatch.setattr(corpus_module, "IDS_WRITE_BLOCK", block)
+        sentences = random_sentences(n + 11, n)
+        path = tmp_path / "c.ids"
+        EncodedCorpus(sentences, "en").save_ids(path)
+        assert path.read_bytes() == reference_ids_text(sentences)
+        assert_reference_layout(EncodedCorpus.load_ids(path, "en"), sentences)
+
+    @pytest.mark.parametrize("text", list(MALFORMED_IDS))
+    def test_malformed_ids_file_names_its_fault(self, tmp_path, text):
+        path = tmp_path / "bad.ids"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(DataError, match=MALFORMED_IDS[text]):
+            EncodedCorpus.load_ids(path, "en")
+
+    @pytest.mark.parametrize("sentences, message", [
+        ([np.array([1, 2**32 + 5])], "'en' corpus holds the id 4294967301, outside the int32 range"),
+        ([[1, 2**31]], "'en' corpus holds the id 2147483648, outside the int32 range"),
+        ([[1, 2], [3, 2**64]], "'en' corpus holds the id 18446744073709551616, outside the int32 range"),
+        ([np.array([1, 2**40], dtype=np.uint64)], "'en' corpus holds the id 1099511627776, outside"),
+        ([[1, -(2**40)]], "'en' corpus holds the negative id -1099511627776"),
+        ([np.array([1.0, 2.0])], "'en' corpus sentence 0 holds the non-integer id 1.0"),
+        ([[1, 2], [3, 0.5]], "'en' corpus sentence 1 holds the non-integer id 0.5"),
+        ([[1, 2], [3, "a"]], "'en' corpus sentence 1 holds the non-integer id a"),
+        ([np.zeros((2, 3), dtype=np.int32)], "'en' corpus sentence 0 is not a 1-D sequence of ids"),
+        ([[1, 2], 7], "'en' corpus sentence 1 is not a 1-D sequence of ids"),
+        ([[1, 2], "abc"], "'en' corpus sentence 1 is not a 1-D sequence of ids"),
+        ([[4, [2, 3]]], "'en' corpus sentence 0 is not a 1-D sequence of ids"),
+    ])
+    def test_sentence_that_is_no_row_of_int32_ids_refused(self, sentences, message):
+        with pytest.raises(DataError, match=message):
+            EncodedCorpus(sentences, "en")
+
+    def test_largest_int32_id_accepted(self):
+        corpus = EncodedCorpus([np.array([2**31 - 1, 0], dtype=np.int64)], "en")
+        assert corpus.flat.dtype == np.int32 and corpus.flat.tolist() == [2**31 - 1, 0]
+
+    @pytest.mark.parametrize("flat, lengths, message", [
+        (np.arange(4), [2, 3], "'en' corpus lengths add up to 5 ids, but it holds 4"),
+        (np.arange(4.0), [2, 2], r"'en' corpus ids are not one 1-D integer array \(float64, shape \(4,\)\)"),
+        (np.arange(4).reshape(2, 2), [2, 2], "'en' corpus ids are not one 1-D integer array"),
+        (np.arange(4), [2.0, 2.0], "'en' corpus lengths are not one 1-D integer array"),
+        (np.arange(4), [4, 0], "'en' corpus sentence 1 holds no words"),
+        (np.array([1, 2**31]), [2], "'en' corpus holds the id 2147483648, outside the int32 range"),
+    ])
+    def test_from_flat_refuses_inconsistent_buffers(self, flat, lengths, message):
+        with pytest.raises(DataError, match=message):
+            EncodedCorpus.from_flat(flat, np.asarray(lengths), "en")
 
 
 # each reader's well-formed first line, and a second line holding one byte
