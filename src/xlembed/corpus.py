@@ -175,6 +175,10 @@ class Vocabulary:
                 continue
             try:
                 token, count = line.split("\t")
+                # int() also takes signs, "_", spaces and non-ASCII digits,
+                # which save never writes
+                if not (count.isascii() and count.isdigit()):
+                    raise ValueError(count)
                 counts.append(int(count))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: expected 'token<TAB>count' with an integer count")
@@ -398,6 +402,10 @@ class EncodedCorpus:
             if not tokens:
                 raise DataError(f"{path}:{lineno}: empty sentence line")
             try:
+                # int() also takes "+1", "1_0" and non-ASCII digits, which
+                # save_ids never writes; a sign "-" is left to the negative-id check
+                if not line.isascii() or "_" in line or "+" in line:
+                    raise ValueError(line)
                 ids.extend(map(int, tokens))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-integer token id")
@@ -478,10 +486,14 @@ class PairBatch:
 
 
 def _gather_spans(flat: np.ndarray, abs_starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Collect flat[start:start+len] for many spans into one flat array."""
+    """Collect flat[start:start+len] for many spans into one flat int64
+    array: the positions are built in one buffer, which the gathered ids
+    then overwrite."""
     seg_off = np.cumsum(lengths) - lengths
-    pos = np.arange(int(lengths.sum())) + np.repeat(abs_starts - seg_off, lengths)
-    return flat[pos].astype(np.int64, copy=False)
+    pos = np.repeat((abs_starts - seg_off).astype(np.int64, copy=False), lengths)
+    pos += np.arange(pos.size)
+    pos[...] = flat[pos]
+    return pos
 
 
 # ---------------------------------------------------------------------------

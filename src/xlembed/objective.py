@@ -13,9 +13,11 @@ inner and noise phrases are laid end to end in one
 the same shape. Both split into one view per set; the terms are plain maths
 on the value views that write the upstream views, and the composition's
 backward over that one upstream is the language's one gradient source in
-the accumulator. Every span sums on its own and no Bi bigram crosses a
-span, so each value, and each gradient cell's order of terms, is that of
-the sets composed one by one.
+the accumulator. The views are dropped once the terms have run, before the
+accumulator sums anything, so each language's composition and upstream are
+freed as soon as its gradient sums exist. Every span sums on its own and
+no Bi bigram crosses a span, so each value, and each gradient cell's order
+of terms, is that of the sets composed one by one.
 
 A Bi batch of bilingual pairs alone, as every batch of the bilingual-only
 epochs is, takes one pass over the columns instead: a pair's upstream in
@@ -301,6 +303,9 @@ def _batch(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, l
         for i, triple in enumerate((triple_l1, triple_l2)):
             if triple:
                 l_mono[i] = _triple_term(*views[triple.language_tag], triple, margin)
+        # the views hold every language's values and upstream: dropped here,
+        # each language's arrays are freed as soon as coalesce has summed it
+        del views
 
     touched = acc.touched()
     n_touched = sum(ids.size for ids in touched.values())

@@ -147,43 +147,51 @@ def apply_sparse_update(
     G += g^2, then w -= lr * g / (sqrt(G) + eps).
 
     Returns the new accumulator rows and weight rows as (g_rows, w_rows),
-    computed into new C-ordered arrays and checked to be finite; nothing is
-    written, so the caller can commit several tables together or none of
-    them. The rows are gathered and updated one block of rows at a time on
-    the block pool (:func:`xlembed.embeddings.cell_blocks`), which reads any
-    layout of ``table`` and ``g_matrix`` well; every cell's arithmetic is
-    that of one whole-array update.
+    checked to be finite; nothing is written to ``table`` or ``g_matrix``,
+    so the caller can commit several tables together or none of them. Only
+    the accumulator rows are a new C-ordered array: the weight rows are
+    written over the gradient rows, so ``w_rows`` is ``grads`` (cast to the
+    table's dtype first if it is not of it, or not writable), whose gradient
+    is gone once this returns. The rows are gathered and updated one block
+    of rows at a time on the block pool
+    (:func:`xlembed.embeddings.cell_blocks`), which reads any layout of
+    ``table`` and ``g_matrix`` well; every cell's arithmetic is that of one
+    whole-array update.
     """
+    grads = np.require(grads, table.matrix.dtype, "W")
     g_rows = np.empty(grads.shape, dtype=g_matrix.dtype)
-    w_rows = np.empty(grads.shape, dtype=table.matrix.dtype)
-    failed = set()  # what went non-finite in some block: "gradient" or "update"
+    bad = {}  # block start -> ids of the block's non-finite gradient rows
+    diverged = []  # starts of the blocks whose update is not finite
 
     def update(part):
         g = grads[part]
+        # found before the block writes anything over its gradient rows
         if not np.isfinite(g).all():
-            failed.add("gradient")
+            bad[part.start] = ids[part][~np.isfinite(g).all(axis=1)]
             return
-        g_new, w_new = g_rows[part], w_rows[part]
+        g_new = g_rows[part]
         g_new[...] = g_matrix[ids[part]]
         g_new += g * g
-        w_new[...] = table.matrix[ids[part]]
-        w_new -= lr * g / (np.sqrt(g_new) + eps)
-        if not (np.isfinite(g_new).all() and np.isfinite(w_new).all()):
-            failed.add("update")
+        # w - lr * g / (sqrt(G) + eps), with the steps of the same expression
+        g *= lr
+        g /= np.sqrt(g_new) + eps
+        np.subtract(table.matrix[ids[part]], g, out=g)
+        if not (np.isfinite(g_new).all() and np.isfinite(g).all()):
+            diverged.append(part.start)
 
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
         run_blocks(update, cell_blocks(*grads.shape))
     # the messages are those of one whole-array check
-    if "gradient" in failed:
-        bad = ids[~np.isfinite(grads).all(axis=1)]
+    if bad:
+        rows = np.concatenate([bad[start] for start in sorted(bad)])
         raise TrainingError(
-            f"non-finite gradient for {table.language_tag!r} rows {bad[:8].tolist()}"
+            f"non-finite gradient for {table.language_tag!r} rows {rows[:8].tolist()}"
         )
-    if failed:
+    if diverged:
         raise TrainingError(
             f"non-finite weights or accumulators after update in {table.language_tag!r}"
         )
-    return g_rows, w_rows
+    return g_rows, grads
 
 
 def _commit(ids: np.ndarray, g_matrix: np.ndarray, g_rows: np.ndarray,

@@ -860,6 +860,18 @@ def ids_not_an_integer(fx, tmp):
     return train_args(tmp / "prep", tmp / "out")
 
 
+@exit_case(2, "{tmp}/prep/bi.en.ids:1: non-integer token id")
+def ids_with_a_plus_sign(fx, tmp):
+    append_to_first_line(fx("prepared") / "bi.en.ids", "+1")
+    return train_args(tmp / "prep", tmp / "out")
+
+
+@exit_case(2, "{tmp}/prep/en.vocab:3: expected 'token<TAB>count' with an integer count")
+def vocab_count_with_an_underscore(fx, tmp):
+    insert_line(fx("prepared") / "en.vocab", 2, "zzz\t1_0")
+    return train_args(tmp / "prep", tmp / "out")
+
+
 @exit_case(2, "{tmp}/prep/en.vocab:3: token 'the' repeats line 2")
 def vocab_duplicate_token(fx, tmp):
     insert_line(fx("prepared") / "en.vocab", 2, "the\t7")

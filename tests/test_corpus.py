@@ -167,6 +167,14 @@ class TestVocabulary:
         with pytest.raises(DataError, match=r"bad\.vocab:2:"):
             Vocabulary.load(path)
 
+    # integer forms int() takes but save never writes
+    @pytest.mark.parametrize("count", ["1_0", "+2", "-3", " 4", "5 ", "\u0663", "\uff17"])
+    def test_load_rejects_count_that_is_no_plain_ascii_digits(self, tmp_path, count):
+        path = tmp_path / "bad.vocab"
+        path.write_text(f"<unk>\t0\nfoo\t{count}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"bad\.vocab:2: expected 'token<TAB>count' with an integer count"):
+            Vocabulary.load(path)
+
     @pytest.mark.parametrize("tokens", [["a", "b", "a"], ["a", "<unk>"]])
     def test_repeated_token_rejected(self, tokens):
         with pytest.raises(DataError, match="duplicate tokens"):
@@ -368,6 +376,9 @@ MALFORMED_IDS = {
     "1 2 3\n4 -1\n": "'en' corpus holds the negative id -1",
     "1 2 3\n4 -2147483648 -5\n": "'en' corpus holds the negative id -2147483648",
     "1 2 3\n4 \xff 6\n": "bad.ids:2: not UTF-8 text",
+    # integer forms int() takes but save_ids never writes
+    "1 2 3\n4 1_0 6\n": "bad.ids:2: non-integer token id",
+    "1 2 3\n4 +2 6\n": "bad.ids:2: non-integer token id",
 }
 
 
@@ -425,6 +436,14 @@ class TestFlatConstruction:
         path = tmp_path / "bad.ids"
         path.write_bytes(text.encode("latin-1"))
         with pytest.raises(DataError, match=MALFORMED_IDS[text]):
+            EncodedCorpus.load_ids(path, "en")
+
+    # int() reads both as digits; the file is UTF-8, which latin-1 cannot write
+    @pytest.mark.parametrize("digit", ["\u0663", "\uff17"])  # Arabic-Indic three, fullwidth seven
+    def test_non_ascii_digit_in_ids_file_refused(self, tmp_path, digit):
+        path = tmp_path / "bad.ids"
+        path.write_text(f"1 2 3\n4 {digit} 6\n", encoding="utf-8")
+        with pytest.raises(DataError, match="bad.ids:2: non-integer token id"):
             EncodedCorpus.load_ids(path, "en")
 
     @pytest.mark.parametrize("sentences, message", [

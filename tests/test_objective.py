@@ -650,6 +650,28 @@ class TestGradientAccumulator:
         assert alive == [0, 0, 0]
         assert all(ref() is None for ref in refs)
 
+    def test_first_language_values_freed_before_second_is_summed(self, synth_batch,
+                                                                  monkeypatch):
+        # a two-pass Add batch: once the first language's sums exist, its
+        # composed values are gone before the second language's backward runs
+        batch, tables = synth_batch
+        values, alive = [], []
+
+        class Tracked(embeddings.SpanComposition):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.index = len(values)
+                values.append(weakref.ref(self.values))
+
+            def position_grads(self, *args):
+                if self.index == 1:
+                    alive.append(values[0]() is not None)
+                return super().position_grads(*args)
+
+        monkeypatch.setattr(objective, "SpanComposition", Tracked)
+        batch_loss_and_grad(batch.pairs, batch.mono_l1, batch.mono_l2, tables, "add", 40.0, 1.0)
+        assert len(values) == 2 and alive and not any(alive)
+
     @pytest.mark.parametrize("cells", [1, 10**9])
     def test_shared_function_returns_one_block_per_language(self, cells, monkeypatch):
         # one function added for two languages is asked once per column

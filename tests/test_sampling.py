@@ -3,6 +3,7 @@ import collections
 import numpy as np
 import pytest
 
+from xlembed import corpus as corpus_module
 from xlembed.corpus import (
     EncodedCorpus,
     ParallelCorpus,
@@ -29,6 +30,18 @@ def positional_corpus(lengths):
     """Sentence s holds the ids 1000 * s + position, so every sampled id
     tells its sentence and position."""
     return EncodedCorpus([1000 * s + np.arange(n) for s, n in enumerate(lengths)], "en")
+
+
+@pytest.mark.parametrize("seed, n_spans", [(0, 0), (1, 1), (2, 500)])
+def test_gather_spans_returns_each_span_slice_as_int64(seed, n_spans):
+    rng = np.random.default_rng(seed)
+    flat = rng.integers(0, 2**31 - 1, size=3000, dtype=np.int32)
+    starts = rng.integers(0, flat.size, size=n_spans)
+    lengths = rng.integers(1, np.minimum(flat.size - starts, 40) + 1)
+    ids = corpus_module._gather_spans(flat, starts, lengths)
+    expected = [flat[a : a + n] for a, n in zip(starts.tolist(), lengths.tolist())]
+    assert ids.dtype == np.int64
+    assert ids.tolist() == (np.concatenate(expected).tolist() if expected else [])
 
 
 class TestPhraseTripleSampling:

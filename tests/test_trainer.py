@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -308,7 +309,7 @@ class TestRowBlocks:
         grads = rng.normal(size=(ids.size, 4))
         before = (matrix.copy(), g_matrix.copy())
         g_rows, w_rows = apply_sparse_update(
-            EmbeddingTable(matrix, "en"), g_matrix, ids, grads, 0.3, 1e-8
+            EmbeddingTable(matrix, "en"), g_matrix, ids, grads.copy(), 0.3, 1e-8
         )
         ref_g, ref_w = serial_update(matrix, g_matrix, ids, grads, 0.3, 1e-8)
         assert np.array_equal(g_rows, ref_g) and np.array_equal(w_rows, ref_w)
@@ -356,6 +357,48 @@ class TestRowBlocks:
         assert str(info.value) == (
             "non-finite gradient for 'en' rows [22, 24, 26, 28, 30, 32, 34, 36]"
         )
+
+    def test_weights_written_over_gradient_rows(self):
+        # only the accumulator rows are a new array, so the update's peak is
+        # one (rows, dim) array plus its row blocks' temporaries
+        rng = np.random.default_rng(5)
+        rows, dim = 50_000, 40
+        matrix = np.asfortranarray(rng.normal(size=(rows, dim)))
+        g_matrix = np.asfortranarray(np.abs(rng.normal(size=(rows, dim))))
+        ids = np.arange(rows)
+        grads = rng.normal(size=(rows, dim))
+        expected = serial_update(matrix[:50], g_matrix[:50], ids[:50], grads[:50], 0.2, 1e-8)
+        tracemalloc.start()
+        try:
+            g_rows, w_rows = apply_sparse_update(
+                EmbeddingTable(matrix, "en"), g_matrix, ids, grads, 0.2, 1e-8
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(w_rows, grads) and not np.shares_memory(g_rows, grads)
+        assert peak < 1.5 * grads.nbytes
+        assert np.array_equal(g_rows[:50], expected[0]) and np.array_equal(w_rows[:50], expected[1])
+
+    def test_nonfinite_gradient_named_over_an_overflowing_update(self, one_column_blocks):
+        # one-row blocks: the updates of rows 0 and 1 overflow and write over
+        # their gradient rows, rows 3 to 12 hold a non-finite gradient; only
+        # those are named, in id order, and nothing is written
+        one_column_blocks(2)
+        ids = np.arange(0, 40, 2)
+        matrix = np.zeros((40, 2))
+        matrix[ids[:2]] = 1.5e308
+        g_matrix = np.zeros((40, 2))
+        grads = -np.ones((ids.size, 2))
+        grads[3:13, 1] = [np.nan, np.inf, -np.inf, np.nan, np.inf, -np.inf, np.nan, np.inf,
+                          -np.inf, np.nan]
+        before = matrix.tobytes(), g_matrix.tobytes()
+        with pytest.raises(TrainingError) as info:
+            apply_sparse_update(EmbeddingTable(matrix, "en"), g_matrix, ids, grads, 1e308, 1e-8)
+        assert str(info.value) == (
+            "non-finite gradient for 'en' rows [6, 8, 10, 12, 14, 16, 18, 20]"
+        )
+        assert (matrix.tobytes(), g_matrix.tobytes()) == before
 
     def test_late_nonfinite_update_message(self, one_column_blocks):
         one_column_blocks(2)
