@@ -138,6 +138,10 @@ class Vocabulary:
         self.counts = np.empty(len(self.id_to_token), dtype=np.int64)
         self.counts[0] = unk_count
         self.counts[1:] = counts
+        negative = np.flatnonzero(self.counts < 0)
+        if negative.size:
+            i = negative[0]
+            raise DataError(f"token {self.id_to_token[i]!r} has a negative count {self.counts[i]}")
         self.token_to_id = dict(zip(self.id_to_token, range(len(self.id_to_token))))
         if len(self.token_to_id) != len(self.id_to_token):
             raise DataError("duplicate tokens in vocabulary")

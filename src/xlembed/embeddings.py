@@ -308,6 +308,14 @@ def save_embeddings_text(path, tokens, matrix: np.ndarray) -> None:
         raise DataError(
             f"token count {len(tokens)} does not match matrix rows {matrix.shape[0]}"
         )
+    # a row is its token and values split on whitespace, so a token must
+    # read back as one field (one that is no str fails in the write below)
+    bad = next(
+        (i for i, token in enumerate(tokens) if isinstance(token, str) and token.split() != [token]),
+        None,
+    )
+    if bad is not None:
+        raise DataError(f"{path}: row {bad} has token {tokens[bad]!r}, which is empty or holds whitespace")
     with atomic_write(path) as f:
         f.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
         # one row's floats at a time: repr of a Python float is the text of

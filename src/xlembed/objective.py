@@ -35,17 +35,16 @@ The path is dimension-major: compositions and the gradient accumulator work
 one block of embedding columns at a time, and no per-position value or
 gradient outlives a block. It reads the tables in place, correct on any
 layout; :func:`xlembed.trainer.train` keeps them column-major, so each
-block reads contiguous memory. The regularizer keeps no rows: its loss
-squares one plain gather of the touched rows in place, and its gradient
-gathers them again, one block of rows at a time, from the still unchanged
-tables once the data gradient is summed. The blocks of one call run side
-by side on one thread per usable core
+block reads contiguous memory. The regularizer keeps no rows: once the
+data gradient is summed, one pass of row blocks gathers each touched row
+once from the still unchanged tables, for its loss and its gradient alike.
+The blocks of one call run side by side on one thread per usable core
 (:func:`xlembed.embeddings.run_blocks`); each writes only its own columns
 or rows, so losses and gradients are bit-identical whatever the thread
 count, and there is nothing to tune. The loss alone (:func:`batch_loss`)
 composes every batch forward only and stops before the backward: the
-regularizer's touched rows come from the sampled ids, not from the
-coalesced gradient.
+regularizer's touched rows are the unique sampled ids, the same ids the
+gradient is summed over.
 """
 
 from __future__ import annotations
@@ -238,33 +237,36 @@ def _pair_pass(acc: GradientAccumulator, kind, tables: TablePair, pairs: PairBat
     return diff
 
 
-def _squared_norm(matrix: np.ndarray, ids: np.ndarray) -> float:
-    """Sum of the squares of the rows ``matrix[ids]``: one gather, which is
-    C-ordered on any layout of ``matrix``, squared in place and summed once
-    over the whole array."""
-    rows = matrix[ids]
-    np.multiply(rows, rows, out=rows)
-    return float(rows.sum())
-
-
-def _add_scaled_rows(summed: np.ndarray, scale: float, matrix: np.ndarray, ids: np.ndarray) -> None:
-    """``summed += scale * matrix[ids]``, one block of rows at a time on the pool."""
+def _regularize(matrix: np.ndarray, ids: np.ndarray, summed, lam_eff: float) -> float:
+    """``lam_eff * ||matrix[ids]||^2``, and, unless ``summed`` is None,
+    ``summed += 2 * lam_eff * matrix[ids]``, in one pass of row blocks on
+    the pool: each block gathers its rows once, writes their squares into
+    one C-ordered (n, d) array, summed once over the whole array, and adds
+    the rows, scaled in place, to its rows of ``summed``."""
+    squares = np.empty((ids.size, matrix.shape[1]), dtype=np.float64)
+    scale = 2.0 * lam_eff
 
     def block(part):
-        view = summed[part]
-        view += scale * matrix[ids[part]]
+        rows = matrix[ids[part]]
+        np.multiply(rows, rows, out=squares[part])
+        if summed is not None:
+            rows *= scale
+            view = summed[part]
+            view += rows
 
-    run_blocks(block, cell_blocks(*summed.shape))
+    run_blocks(block, cell_blocks(*squares.shape))
+    return lam_eff * float(squares.sum())
 
 
 def _batch(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, lam, with_grad):
     """The loss of :func:`batch_loss_and_grad` and, ``with_grad``, its
-    gradient. The regularizer's touched rows come from the composed ids,
-    before any gradient is computed. A Bi batch of pairs alone takes one
-    pass over the columns for its forward and backward (:func:`_pair_pass`)
-    when the gradient is asked for; every other batch, and the loss alone,
-    composes each language first and runs the backward in the accumulator.
-    Returns the breakdown and the gradient, or None without it."""
+    gradient. A Bi batch of pairs alone takes one pass over the columns for
+    its forward and backward (:func:`_pair_pass`) when the gradient is asked
+    for; every other batch, and the loss alone, composes each language first
+    and runs the backward in the accumulator. Both modes share one tail: the
+    touched ids, with their summed gradient rows or with None for the loss
+    alone, go to :func:`_regularize`. Returns the breakdown and the
+    gradient, or None without it."""
     kind = CompositionKind.coerce(kind)
     if margin < 0:
         raise DataError(f"margin must be >= 0, got {margin}")
@@ -307,28 +309,21 @@ def _batch(bi_samples, mono_samples_l1, mono_samples_l2, tables, kind, margin, l
         # each language's arrays are freed as soon as coalesce has summed it
         del views
 
-    touched = acc.touched()
-    n_touched = sum(ids.size for ids in touched.values())
-    reg, lam_eff = 0.0, None
-    if lam > 0.0 and n_touched:
-        lam_eff = lam * n_touched / tables.total_rows
-        for tag in (tag1, tag2):
-            if tag in touched:
-                reg += lam_eff * _squared_norm(tables.by_tag(tag).matrix, touched[tag])
-    if not with_grad:
-        return LossBreakdown.of(l_bi, *l_mono, reg), None
-
-    grads = acc.coalesce()
+    grads = acc.coalesce() if with_grad else {tag: (ids, None) for tag, ids in acc.touched().items()}
     if diff is not None:
         np.multiply(diff, diff, out=diff)
         l_bi = float(diff.sum())
-    # the regularizer's rows are gathered again from the tables, which no
-    # step has written yet, and added after the data sums, so every per-row
-    # sum keeps a fixed order
-    if lam_eff is not None:
-        for tag, (ids, summed) in grads.items():
-            _add_scaled_rows(summed, 2.0 * lam_eff, tables.by_tag(tag).matrix, ids)
-    return LossBreakdown.of(l_bi, *l_mono, reg), grads
+    # the regularizer reads the tables, which no step has written yet, and
+    # adds its rows after the data sums, so every per-row sum keeps a fixed
+    # order
+    n_touched = sum(ids.size for ids, _ in grads.values())
+    reg = 0.0
+    if lam > 0.0 and n_touched:
+        lam_eff = lam * n_touched / tables.total_rows
+        for tag in (tag1, tag2):
+            if tag in grads:
+                reg += _regularize(tables.by_tag(tag).matrix, *grads[tag], lam_eff)
+    return LossBreakdown.of(l_bi, *l_mono, reg), grads if with_grad else None
 
 
 def batch_loss_and_grad(

@@ -929,6 +929,13 @@ def docs_line_without_sentence(fx, tmp):
                          "--test-docs-l2", test_l2)
 
 
+@exit_case(2, "{tmp}/out.vec: row 0 has token 'doc 1', which is empty or holds whitespace")
+def compose_doc_id_that_is_no_vec_token(fx, tmp):
+    (tmp / "ids.docs").write_text("pets\tdoc 1\tcat\npets\t\tcat\n")
+    return ["compose", "--embeddings", str(fx("model_dir") / "en.vec"),
+            "--docs", str(tmp / "ids.docs"), "--out", str(tmp / "out.vec")]
+
+
 @pytest.mark.parametrize("case", list(EXIT_CASES))
 def test_error_exits_with_its_code_and_one_line(case, request, tmp_path, capsys):
     code, message, make_argv = EXIT_CASES[case]
@@ -1046,6 +1053,33 @@ class TestSettings:
 
         assert CONFIG_KEYS == frozenset(ALL_KEYS_CFG)
         assert len(CONFIG_KEYS) == 27
+
+    def test_readme_defaults_table_matches_the_code(self):
+        import argparse
+        from pathlib import Path
+
+        from xlembed.cli import (
+            _DEFAULT_WORDS, _DEFAULTS, _PARSERS, _SETTING_OF_KEY, CONFIG_KEYS, build_parser,
+        )
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Defaults\n", 1)[1].split("\n## ", 1)[0]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in section.splitlines() if line.startswith("|")][2:]
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {}
+        for command in ("preprocess", "train"):
+            for action in sub.choices[command]._actions:
+                flags.setdefault(action.dest, set()).update(action.option_strings)
+        keys = [row[0] for row in rows]
+        assert sorted(keys) == sorted(CONFIG_KEYS)
+        for key, default, flag, _ in rows:
+            name = _SETTING_OF_KEY[key]
+            assert flag.strip("`") in flags[name], key
+            if name in _DEFAULT_WORDS:
+                assert (default, _DEFAULTS[name]) == (_DEFAULT_WORDS[name], None), key
+            else:
+                assert _PARSERS.get(name, type(_DEFAULTS[name]))(default) == _DEFAULTS[name], key
 
     def test_file_values_differ_from_defaults_and_flags(self, tmp_path):
         from dataclasses import fields

@@ -180,6 +180,13 @@ class TestVocabulary:
         with pytest.raises(DataError, match="duplicate tokens"):
             Vocabulary(tokens, [1] * len(tokens))
 
+    @pytest.mark.parametrize("counts, unk_count, token, count", [
+        ([-3, 2], 0, "'a'", -3), ([3, -2], 0, "'b'", -2), ([3, 2], -1, "'<unk>'", -1),
+    ])
+    def test_negative_count_rejected(self, counts, unk_count, token, count):
+        with pytest.raises(DataError, match=f"token {token} has a negative count {count}$"):
+            Vocabulary(["a", "b"], counts, unk_count=unk_count)
+
     def test_merge_of_no_vocabulary_rejected(self):
         with pytest.raises(DataError, match="at least one vocabulary"):
             merge_vocabularies([])

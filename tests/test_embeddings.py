@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +422,14 @@ class TestEmbeddingTextFormat:
         path.write_text("1 3\ntok 0.5 0.5\n")
         with pytest.raises(DataError):
             load_embeddings_text(path)
+
+    @pytest.mark.parametrize("token", ["", "doc 1", "a\tb", "tail\n", "\u2028"])
+    def test_token_that_is_no_one_field_rejected(self, tmp_path, token):
+        path = tmp_path / "e.vec"
+        with pytest.raises(DataError, match=f"e\\.vec: row 1 has token {re.escape(repr(token))}, "
+                                            "which is empty or holds whitespace"):
+            save_embeddings_text(path, ["<unk>", token], np.ones((2, 2)))
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "e.vec"

@@ -427,6 +427,19 @@ class TestBatchBits:
                 digests.append(batch_digest(breakdown, coalesced))
             assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("kind", ["add", "bi"])
+    def test_loss_alone_is_the_loss_of_the_gradient_path(self, kind, synth_batch, monkeypatch):
+        # the finite-difference oracles read batch_loss, which composes
+        # forward only, as the loss whose gradient batch_loss_and_grad gives
+        batch, tables = synth_batch
+        for cells in (embeddings.BLOCK_CELLS, 1):  # default blocks, one column or row each
+            monkeypatch.setattr(embeddings, "BLOCK_CELLS", cells)
+            # the mixed batch, its pairs alone (Bi's one pass) and its l1 triples alone
+            for sources in ((batch.pairs, batch.mono_l1, batch.mono_l2), (batch.pairs, None, None),
+                            (None, batch.mono_l1, None)):
+                loss = batch_loss(*sources, tables, kind, 40.0, 1.0)
+                assert loss == batch_loss_and_grad(*sources, tables, kind, 40.0, 1.0)[0]
+
     def test_golden_add_batch(self, synth_batch):
         # the loss and coalesced gradient bits of the batch path with span
         # sums by np.add.reduceat, re-derived once that path matched the
