@@ -204,9 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "batch_size", "samples per mini-batch")
     _setting(p, "margin", "hinge margin")
     _setting(p, "lam", "L2 regularization strength", "--lambda")
-    _setting(p, "epochs", "epoch count override")
-    _setting(p, "epochs_bi_only", "epochs without monolingual data")
-    _setting(p, "epochs_with_mono", "epochs with monolingual data")
+    _setting(p, "epochs", "epoch count; auto: 100 without monolingual corpora, 25 with")
     _setting(p, "mix", "bi,mono_l1,mono_l2 batch fractions")
     _setting(p, "seed", "random seed")
     _setting(p, "composition", "composition function", choices=("add", "bi"))
@@ -359,13 +357,16 @@ def _load_training_data(data_dir: str, settings: dict) -> TrainingData:
 
 
 def _export_tables(outdir: str, tables: TablePair, vocab_l1, vocab_l2) -> list[str]:
-    written = []
-    for vocab, table in ((vocab_l1, tables.l1), (vocab_l2, tables.l2)):
+    pairs = ((vocab_l1, tables.l1), (vocab_l2, tables.l2))
+    for vocab, table in pairs:
         if len(vocab) != len(table):
             raise DataError(
                 f"vocabulary size {len(vocab)} does not match table rows {len(table)} "
                 f"for {table.language_tag!r}"
             )
+    os.makedirs(outdir, exist_ok=True)
+    written = []
+    for vocab, table in pairs:
         path = os.path.join(outdir, f"{table.language_tag}.vec")
         save_embeddings_text(path, vocab.id_to_token, table.matrix)
         written.append(path)
@@ -417,7 +418,6 @@ def run_export(args) -> int:
     tag1, tag2 = tables.tags
     vocab_l1 = corp.Vocabulary.load(args.vocab_l1, tag1)
     vocab_l2 = corp.Vocabulary.load(args.vocab_l2, tag2)
-    os.makedirs(args.outdir, exist_ok=True)
     for path in _export_tables(args.outdir, tables, vocab_l1, vocab_l2):
         print(f"wrote {path}")
     return 0

@@ -186,6 +186,9 @@ class Vocabulary:
                 counts.append(int(count))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: expected 'token<TAB>count' with an integer count")
+            # save never writes such a token, and a .vec row could not hold it
+            if token.split() != [token]:
+                raise DataError(f"{path}:{lineno}: token {token!r} is empty or holds whitespace")
             if token in line_of:
                 raise DataError(f"{path}:{lineno}: token {token!r} repeats line {line_of[token]}")
             line_of[token] = lineno

@@ -330,7 +330,11 @@ def save_embeddings_text(path, tokens, matrix: np.ndarray) -> None:
 def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
     lines = numbered_lines(path)
     try:
-        n, dim = (int(x) for x in next(lines, (1, ""))[1].split())
+        header = next(lines, (1, ""))[1].split()
+        # int() also takes signs, "_" and non-ASCII digits, which save never writes
+        if not all(x.isascii() and x.isdigit() for x in header):
+            raise ValueError(header)
+        n, dim = map(int, header)
         matrix = np.empty((n, dim), dtype=np.float64)
     except ValueError:
         raise DataError(f"{path}:1: malformed header, expected '<vocab_size> <dim>'")
@@ -345,6 +349,12 @@ def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
             raise DataError(f"{path}:{lineno}: row {i} has {len(parts) - 1} values, expected {dim}")
         tokens.append(parts[0])
         try:
+            # float() also takes "_" and non-ASCII digits, which save never
+            # writes; tokens may hold both, so one test of the whole line at
+            # C speed decides whether the values need a look
+            if not line.isascii() or "_" in line:
+                if not all(x.isascii() and "_" not in x for x in parts[1:]):
+                    raise ValueError(line)
             matrix[i] = [float(x) for x in parts[1:]]
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-numeric value in row {i}")

@@ -40,6 +40,10 @@ from .objective import LossBreakdown, batch_loss_and_grad
 # used whenever no --seed is given, so unseeded runs are still reproducible
 DEFAULT_SEED = 42
 
+# the run length when epochs is None: without, or with monolingual corpora
+EPOCHS_BI_ONLY = 100
+EPOCHS_WITH_MONO = 25
+
 CHECKPOINT_MAGIC = "xlembed-checkpoint"
 CHECKPOINT_VERSION = 1
 # what save_checkpoint writes besides the magic
@@ -52,16 +56,14 @@ CHECKPOINT_MEMBERS = (
 class TrainConfig:
     """Hyperparameters; defaults follow the reference setup (40-dim vectors,
     learning rate 0.2, mini-batches of 40,000 samples, margin = dim,
-    lambda 1.0, 100 bilingual-only or 25 mixed epochs)."""
+    lambda 1.0, and with epochs None, 100 bilingual-only or 25 mixed epochs)."""
 
     dim: int = 40
     learning_rate: float = 0.2
     batch_size: int = 40000
     margin: float | None = None  # None resolves to dim
     lam: float = 1.0
-    epochs_bi_only: int = 100
-    epochs_with_mono: int = 25
-    epochs: int | None = None  # explicit override of the two counts above
+    epochs: int | None = None  # None: EPOCHS_BI_ONLY, or EPOCHS_WITH_MONO with mono corpora
     mix: tuple[float, float, float] | None = None  # None: proportional to corpus sizes
     seed: int = DEFAULT_SEED
     adagrad_epsilon: float = 1e-8
@@ -72,8 +74,7 @@ class TrainConfig:
         return float(self.dim if self.margin is None else self.margin)
 
     def validate(self) -> None:
-        for name, low in (("dim", 1), ("batch_size", 1), ("epochs_bi_only", 0),
-                          ("epochs_with_mono", 0), ("epochs", 0), ("seed", 0)):
+        for name, low in (("dim", 1), ("batch_size", 1), ("epochs", 0), ("seed", 0)):
             value = getattr(self, name)
             if not (_is_number(value, numbers.Integral) or value is None and name == "epochs"):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -464,6 +465,10 @@ def train(
             raise ConfigError("checkpoint was written with a different configuration")
         if set(tables.tags) != {tag1, tag2}:
             raise DataError("checkpoint language tags do not match the corpora")
+        for tag, vocab in ((tag1, data.vocab_l1), (tag2, data.vocab_l2)):
+            if len(vocab) != len(tables.by_tag(tag)):
+                raise DataError(f"{resume_from}: vocabulary size {len(vocab)} does not match "
+                                f"table rows {len(tables.by_tag(tag))} for {tag!r}")
     else:
         try:
             tables = TablePair(
@@ -487,10 +492,9 @@ def train(
         state = AdaGradState.zeros(tables)
     state.g_by_tag = {tag: np.asfortranarray(g, dtype=np.float64) for tag, g in state.g_by_tag.items()}
 
-    if config.epochs is not None:
-        epochs = config.epochs
-    else:
-        epochs = config.epochs_with_mono if data.has_mono() else config.epochs_bi_only
+    epochs = config.epochs
+    if epochs is None:
+        epochs = EPOCHS_WITH_MONO if data.has_mono() else EPOCHS_BI_ONLY
     if start_epoch > epochs:
         raise ConfigError(f"checkpoint epoch {start_epoch} is past the target of {epochs} epochs")
     steps_per_epoch = max(1, round(max(sizes) / config.batch_size))

@@ -28,7 +28,7 @@ from xlembed.evaluate import (
     perceptron_train,
 )
 from xlembed.objective import batch_loss, batch_loss_and_grad
-from xlembed.trainer import TrainConfig, train
+from xlembed.trainer import EPOCHS_BI_ONLY, EPOCHS_WITH_MONO, TrainConfig, train
 
 
 def announce(name: str, ok: bool, detail: str = ""):
@@ -218,6 +218,7 @@ def test_criterion_5_reproduce_configs_and_formats(tmp_path):
     }
     import os
 
+    assert (EPOCHS_BI_ONLY, EPOCHS_WITH_MONO) == (100, 25)
     here = os.path.join(os.path.dirname(__file__), "..", "reproduce")
     for name, wants in expected.items():
         settings = load_pipeline_config(os.path.join(here, name))
@@ -229,8 +230,7 @@ def test_criterion_5_reproduce_configs_and_formats(tmp_path):
         assert settings["learning_rate"] == 0.2, name
         assert settings["batch_size"] == 40000, name
         assert settings["lam"] == 1.0, name
-        assert settings["epochs_bi_only"] == 100, name
-        assert settings["epochs_with_mono"] == 25, name
+        assert settings.get("epochs") is None, name  # auto: the reference run length
         assert settings.get("bilingual_limit") == wants["bilingual_limit"], name
         assert settings["use_mono"] is wants["use_mono"], name
         if wants["use_mono"]:

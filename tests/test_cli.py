@@ -336,6 +336,58 @@ class TestTrainCommand:
         assert code == 1
         assert log.read_bytes() == before
 
+    def test_resume_with_vocabulary_of_another_size_refused_before_any_step(
+            self, prepared, tmp_path, capsys):
+        outdir = tmp_path / "model"
+        assert main(train_args(prepared, outdir)) == 0
+        ck = outdir / "checkpoint.npz"
+        before = ck.read_bytes()
+        rows = len(load_checkpoint(ck)[0].by_tag("en"))
+        with open(prepared / "en.vocab", "a", encoding="utf-8") as f:
+            f.write("zzy\t1\nzzz\t1\n")  # every id stays in range; only the size differs
+        capsys.readouterr()
+        # resumed in place, so a run that trained first would write over the checkpoint
+        code = main(train_args(prepared, outdir, "--epochs", "4", "--resume-from", str(ck)))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert f"{ck}: vocabulary size {rows + 2} does not match table rows {rows} for 'en'" in err
+        assert ck.read_bytes() == before
+
+    def test_vocab_token_with_whitespace_refused_before_first_epoch(self, prepared, tmp_path,
+                                                                    capsys):
+        vocab = prepared / "en.vocab"
+        lines = vocab.read_text(encoding="utf-8").splitlines()
+        lines[1] = "th e\t" + lines[1].split("\t")[1]
+        vocab.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outdir = tmp_path / "model"
+        capsys.readouterr()
+        assert main(train_args(prepared, outdir)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert f"{vocab}:2: token 'th e' is empty or holds whitespace" in err
+        assert not (outdir / "checkpoint.npz").exists()
+
+    @pytest.mark.parametrize("key", ["epochs_bi_only", "epochs_with_mono"])
+    def test_removed_run_length_key_is_refused(self, prepared, tmp_path, capsys, key):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{key} = 100\n")
+        capsys.readouterr()
+        assert main(train_args(prepared, tmp_path / "from_file", "--config", str(cfg))) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{cfg}:1: unknown key {key!r}" in err
+        outdir = tmp_path / "model"
+        assert main(train_args(prepared, outdir)) == 0
+        ck = outdir / "checkpoint.npz"
+        with np.load(ck) as z:
+            arrays = dict(z)
+        arrays["config"] = config_with(arrays, **{key: 100})
+        np.savez(ck, **arrays)
+        capsys.readouterr()
+        assert main(train_args(prepared, tmp_path / "resumed", "--resume-from", str(ck))) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{ck}: checkpoint config has unknown keys [{key!r}]" in err
+
     def test_log_file_inside_new_outdir(self, prepared, tmp_path):
         # the run makes --outdir after its checks and before its first loss line
         outdir = tmp_path / "model"
@@ -460,6 +512,21 @@ class TestExportCommand:
         assert code == 0
         assert (exported / "en.vec").read_bytes() == (model / "en.vec").read_bytes()
 
+    def test_mismatched_l2_vocabulary_writes_nothing(self, model_dir, prepared, tmp_path, capsys):
+        (tmp_path / "small.vocab").write_text("<unk>\t0\n")
+        exported = tmp_path / "exported"
+        argv = ["export", "--checkpoint", str(model_dir / "checkpoint.npz"),
+                "--vocab-l1", str(prepared / "en.vocab"), "--vocab-l2", str(tmp_path / "small.vocab"),
+                "--outdir", str(exported)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "vocabulary size 1 does not match table rows" in err
+        assert not exported.exists()
+        exported.mkdir()  # an existing --outdir gains no l1 file either
+        assert main(argv) == 2
+        assert list(exported.iterdir()) == []
+
     @pytest.mark.parametrize(
         "kind", ["text", "truncated", "empty", "single_array", "missing_member"]
     )
@@ -552,6 +619,14 @@ MALFORMED_VEC = {
     "2 2\n<unk> 0.0 0.0\nfoo 1.0 inf\n": "bad.vec:3: non-finite",
     "3 2\n<unk> 0.0 0.0\nfoo 1.0 2.0\n": "bad.vec: header promises 3 rows, the file holds 2",
     "2 0\n<unk>\nfoo\n": "bad.vec:1: header gives dim 0, expected >= 1",
+    # number forms float() and int() take but save_embeddings_text never writes
+    "+2 2\n<unk> 0.0 0.0\nfoo 1.0 2.0\n": "bad.vec:1: malformed header",
+    "1_0 2\n<unk> 0.0 0.0\nfoo 1.0 2.0\n": "bad.vec:1: malformed header",
+    "\u0662 2\n<unk> 0.0 0.0\nfoo 1.0 2.0\n": "bad.vec:1: malformed header",
+    "2 +2\n<unk> 0.0 0.0\nfoo 1.0 2.0\n": "bad.vec:1: malformed header",
+    "2 2\n<unk> 0.0 0.0\nfoo 1_0 2.0\n": "bad.vec:3: non-numeric value in row 1",
+    "2 2\n<unk> 0.0 0.0\nfoo 1.0 \u0663\n": "bad.vec:3: non-numeric value in row 1",
+    "2 2\n<unk> 0.0 0.0\nf\u00fc_r 1.0 \uff12.5\n": "bad.vec:3: non-numeric value in row 1",
     "2 2\n<unk> 0.0 0.0\nfoo 1.0\n": "bad.vec:3: row 1 has 1 values, expected 2",
     "2 2\n<unk> 0.0 0.0\nfoo 1.0 2.0\nbar 3.0 4.0\n": "bad.vec:4: a row past the 2 rows the header gives",
     "2 2\n<unk> 0.0 0.0\nfoo 1.0 2.0\n\nbar 3.0 4.0\n": "bad.vec:5: a row past the 2 rows the header gives",
@@ -619,7 +694,7 @@ class TestNnCommand:
     @pytest.mark.parametrize("text", list(MALFORMED_VEC))
     def test_malformed_number_is_data_error(self, tmp_path, capsys, text):
         vec = tmp_path / "bad.vec"
-        vec.write_text(text)
+        vec.write_text(text, encoding="utf-8")
         assert main(["nn", "--embeddings", str(vec), "--query", "foo"]) == 2
         err = capsys.readouterr().err
         assert MALFORMED_VEC[text] in err and err.count("\n") == 1
@@ -1017,7 +1092,7 @@ ALL_KEYS_CFG = {
     "lowercase": "false", "use_mono": "false", "mono_use_parallel": "true",
     "bilingual_limit": "3", "checkpoint_every": "1",
     "dim": "5", "learning_rate": "0.1", "batch_size": "16", "margin": "2.5",
-    "lambda": "0.5", "epochs_bi_only": "7", "epochs_with_mono": "6", "epochs": "1",
+    "lambda": "0.5", "epochs": "1",
     "mix": "0.5,0.25,0.25", "seed": "9", "adagrad_epsilon": "1e-6",
     "composition": "bi", "init_sigma": "0.05",
 }
@@ -1025,17 +1100,17 @@ ALL_KEYS_CFG = {
 # TrainConfig as ALL_KEYS_CFG and as FLAG_VALUES set it
 CFG_TRAIN_CONFIG = {
     "dim": 5, "learning_rate": 0.1, "batch_size": 16, "margin": 2.5, "lam": 0.5,
-    "epochs_bi_only": 7, "epochs_with_mono": 6, "epochs": 1, "mix": (0.5, 0.25, 0.25),
+    "epochs": 1, "mix": (0.5, 0.25, 0.25),
     "seed": 9, "adagrad_epsilon": 1e-6, "composition": "bi", "init_sigma": 0.05,
 }
 FLAG_TRAIN_CONFIG = {
     "dim": 3, "learning_rate": 0.3, "batch_size": 8, "margin": 1.5, "lam": 0.25,
-    "epochs_bi_only": 5, "epochs_with_mono": 4, "epochs": 2, "mix": (0.6, 0.2, 0.2),
+    "epochs": 2, "mix": (0.6, 0.2, 0.2),
     "seed": 11, "adagrad_epsilon": 1e-7, "composition": "add", "init_sigma": 0.2,
 }
 TRAIN_FLAGS = [
     "--dim", "3", "--learning-rate", "0.3", "--batch-size", "8", "--margin", "1.5",
-    "--lambda", "0.25", "--epochs-bi-only", "5", "--epochs-with-mono", "4", "--epochs", "2",
+    "--lambda", "0.25", "--epochs", "2",
     "--mix", "0.6,0.2,0.2", "--seed", "11", "--adagrad-epsilon", "1e-7",
     "--composition", "add", "--init-sigma", "0.2",
 ]
@@ -1052,7 +1127,7 @@ class TestSettings:
         from xlembed.cli import CONFIG_KEYS
 
         assert CONFIG_KEYS == frozenset(ALL_KEYS_CFG)
-        assert len(CONFIG_KEYS) == 27
+        assert len(CONFIG_KEYS) == 25
 
     def test_readme_defaults_table_matches_the_code(self):
         import argparse

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,15 @@ class TestVocabulary:
         path = tmp_path / "bad.vocab"
         path.write_text(f"<unk>\t0\nfoo\t{count}\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"bad\.vocab:2: expected 'token<TAB>count' with an integer count"):
+            Vocabulary.load(path)
+
+    # tokens that save never writes and that no .vec row could hold
+    @pytest.mark.parametrize("token", ["th e", "", " ", "a\u00a0b", "a\x0bb"])
+    def test_load_rejects_token_that_is_no_one_field(self, tmp_path, token):
+        path = tmp_path / "bad.vocab"
+        path.write_text(f"<unk>\t0\nfoo\t5\n{token}\t3\n", encoding="utf-8")
+        with pytest.raises(DataError, match=rf"bad\.vocab:3: token {re.escape(repr(token))} "
+                                            "is empty or holds whitespace$"):
             Vocabulary.load(path)
 
     @pytest.mark.parametrize("tokens", [["a", "b", "a"], ["a", "<unk>"]])

@@ -385,6 +385,16 @@ class TestEmbeddingTextFormat:
         assert loaded_tokens == tokens
         assert (loaded == matrix).all()  # repr round-trips float64 exactly
 
+    def test_token_may_be_non_ascii_or_hold_underscore(self, tmp_path):
+        # the reader looks at a row's values when its line is not ASCII or holds "_"
+        tokens = ["<unk>", "über", "a_b", "ß_1", "\u0663", "1_0"]
+        matrix = np.random.default_rng(10).normal(size=(6, 3))
+        path = tmp_path / "e.vec"
+        save_embeddings_text(path, tokens, matrix)
+        loaded_tokens, loaded = load_embeddings_text(path)
+        assert loaded_tokens == tokens
+        assert (loaded == matrix).all()
+
     def test_rows_are_the_repr_of_each_value(self, tmp_path):
         rng = np.random.default_rng(9)
         matrix = rng.normal(scale=1e3, size=(6, 4))

@@ -21,6 +21,8 @@ from xlembed.embeddings import EmbeddingTable, TablePair, init_table
 from xlembed.errors import ConfigError, DataError, TrainingError
 from xlembed.objective import batch_loss, batch_loss_and_grad
 from xlembed.trainer import (
+    EPOCHS_BI_ONLY,
+    EPOCHS_WITH_MONO,
     AdaGradState,
     Batch,
     TrainConfig,
@@ -66,8 +68,8 @@ class TestTrainConfig:
         assert config.batch_size == 40000
         assert config.resolved_margin() == 40.0
         assert config.lam == 1.0
-        assert config.epochs_bi_only == 100
-        assert config.epochs_with_mono == 25
+        assert config.epochs is None
+        assert (EPOCHS_BI_ONLY, EPOCHS_WITH_MONO) == (100, 25)
         assert config.composition == "add"
         assert config.init_sigma == 0.1
         assert config.adagrad_epsilon == 1e-8
@@ -525,13 +527,15 @@ class TestTrainLoop:
         assert (result.tables.l1.matrix == expected.matrix).all()
         assert result.history == []
 
-    def test_epoch_selection_by_corpus_presence(self):
+    def test_epoch_selection_by_corpus_presence(self, monkeypatch):
+        monkeypatch.setattr(trainer, "EPOCHS_BI_ONLY", 2)
+        monkeypatch.setattr(trainer, "EPOCHS_WITH_MONO", 1)
         data = small_data()
-        config = TrainConfig(dim=2, epochs_bi_only=2, epochs_with_mono=1, batch_size=64)
+        config = TrainConfig(dim=2, batch_size=64)
         result = train(data, config)
         assert max(e for e, _, _ in result.history) == 1
         bi_only = TrainingData(data.vocab_l1, data.vocab_l2, data.parallel)
-        result = train(bi_only, TrainConfig(dim=2, epochs_bi_only=2, batch_size=64))
+        result = train(bi_only, config)
         assert max(e for e, _, _ in result.history) == 2
 
     def test_steps_per_epoch_rounding(self):
