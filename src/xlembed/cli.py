@@ -16,6 +16,7 @@ from dataclasses import fields
 from . import corpus as corp
 from . import evaluate as ev
 from .embeddings import (
+    CompositionKind,
     EmbeddingTable,
     TablePair,
     load_embeddings_text,
@@ -24,10 +25,11 @@ from .embeddings import (
 from .errors import ConfigError, DataError, OovError, TrainingError
 from .trainer import (
     DEFAULT_SEED,
+    EPOCHS_BI_ONLY,
+    EPOCHS_WITH_MONO,
     TrainConfig,
     TrainingData,
     load_checkpoint,
-    parse_config_file,
     train,
 )
 
@@ -52,13 +54,6 @@ def _parse_fractions(value):
     if len(parts) != 3:
         raise ValueError(f"mix needs three comma-separated fractions, got {value!r}")
     return parts
-
-
-def _or_none(parse, *words):
-    """`parse`, except that "", "none" and `words` read as None (a derived default)."""
-    def parse_or_none(value):
-        return None if value.strip().lower() in ("", "none", *words) else parse(value)
-    return parse_or_none
 
 
 # pipeline settings that are not TrainConfig fields
@@ -94,40 +89,79 @@ _PARSERS = {
     "lowercase": _parse_bool,
     "use_mono": _parse_bool,
     "mono_use_parallel": _parse_bool,
-    "bilingual_limit": _or_none(int),
-    "epochs": _or_none(int),
-    "margin": _or_none(float, "dim"),
-    "mix": _or_none(_parse_fractions, "proportional"),
+    "bilingual_limit": int,
+    "epochs": int,
+    "margin": float,
+    "mix": _parse_fractions,
 }
 
-# what a None default means, for the help text
+# the word that selects each derived default (a None default) in a file, a
+# flag or the help text; "" and "none" select it too
 _DEFAULT_WORDS = {"margin": "dim", "epochs": "auto", "mix": "proportional", "bilingual_limit": "all"}
+
+# the lowest value of each integer pipeline setting
+_LOWEST = {"unk_threshold_bi_l1": 1, "unk_threshold_bi_l2": 1, "unk_threshold_mono_l1": 1,
+           "unk_threshold_mono_l2": 1, "min_sentence_len": 1, "bilingual_limit": 0, "checkpoint_every": 0}
+
+
+def _parse(name, value: str):
+    """The value of setting `name` that the text `value` gives, from a file or a flag."""
+    if name in _DEFAULT_WORDS and value.strip().lower() in ("", "none", _DEFAULT_WORDS[name]):
+        return None
+    return _PARSERS.get(name, type(_DEFAULTS[name]))(value)
 
 
 def load_pipeline_config(path) -> dict:
-    """Parse a `key = value` config file into typed settings, keyed by setting name."""
+    """Parse a `key = value` config file into typed settings, keyed by setting
+    name; blank lines and `#` comments are skipped."""
     settings = {}
-    for key, value in parse_config_file(path, CONFIG_KEYS).items():
+    for lineno, line in corp.numbered_lines(path, ConfigError):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         name = _SETTING_OF_KEY[key]
+        if name in settings:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            settings[name] = _PARSERS.get(name, type(_DEFAULTS[name]))(value)
+            settings[name] = _parse(name, value)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}: bad value for {key!r}: {exc}")
     return settings
 
 
-def _merge_settings(args) -> dict:
-    """Every setting: its default, then the config file, then each given flag."""
+def _merge_settings(args) -> tuple[dict, TrainConfig]:
+    """Every setting: its default, then the config file, then each given flag;
+    and the TrainConfig of them. Every setting is checked here, whichever
+    command uses it, before any input or output file is touched."""
     settings = dict(_DEFAULTS)
     if args.config:
         _require_files(args.config)
         settings.update(load_pipeline_config(args.config))
     settings.update((name, getattr(args, name)) for name in _DEFAULTS if hasattr(args, name))
-    # tags name the output and input files: checked before any is touched
+    # tags name the output and input files
     for name in ("l1_tag", "l2_tag"):
         if not corp.is_file_name(settings[name]):
             raise ConfigError(f"{name} must be one plain file name, got {settings[name]!r}")
-    return settings
+    if settings["l1_tag"] == settings["l2_tag"]:
+        raise ConfigError("l1 and l2 tags must differ")
+    for name, low in _LOWEST.items():
+        if settings[name] is not None and settings[name] < low:
+            raise ConfigError(f"{name} must be >= {low}, got {settings[name]}")
+    for name in ("lowercase_cutoff_l1", "lowercase_cutoff_l2"):
+        if math.isnan(settings[name]):
+            raise ConfigError(f"{name} must be a number, got nan")
+    config = TrainConfig(**{f.name: settings[f.name] for f in fields(TrainConfig)})
+    config.validate()
+    return settings, config
+
+
+# the composition functions, as --composition names them
+_KINDS = tuple(kind.value for kind in CompositionKind)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,11 +181,9 @@ def _add(parser, flag, default=None, required=False, help="", **kwargs):
 def _flag_value(name):
     """The value parser of setting `name`, with a bad value reported by argparse
     as the parser describes it."""
-    parse = _PARSERS.get(name, type(_DEFAULTS[name]))
-
     def flag_value(value):
         try:
-            return parse(value)
+            return _parse(name, value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad value: {exc}")
     return flag_value
@@ -204,10 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "batch_size", "samples per mini-batch")
     _setting(p, "margin", "hinge margin")
     _setting(p, "lam", "L2 regularization strength", "--lambda")
-    _setting(p, "epochs", "epoch count; auto: 100 without monolingual corpora, 25 with")
+    _setting(p, "epochs", f"epoch count; auto: {EPOCHS_BI_ONLY} without monolingual corpora, "
+                          f"{EPOCHS_WITH_MONO} with")
     _setting(p, "mix", "bi,mono_l1,mono_l2 batch fractions")
     _setting(p, "seed", "random seed")
-    _setting(p, "composition", "composition function", choices=("add", "bi"))
+    _setting(p, "composition", "composition function", choices=_KINDS)
     _setting(p, "adagrad_epsilon", "AdaGrad denominator epsilon")
     _setting(p, "init_sigma", "Gaussian init std")
     _setting(p, "bilingual_limit", "use only the first N sentence pairs")
@@ -242,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "--epochs", default=10, type=int, help="perceptron training iterations")
     _add(p, "--train-size", type=int, help="subsample the training set to N documents (seeded)")
     _add(p, "--norm", default="none", choices=ev.NORM_MODES, help="document vector normalization")
-    _add(p, "--composition", default="add", choices=("add", "bi"), help="composition function")
+    _add(p, "--composition", default="add", choices=_KINDS, help="composition function")
     _add(p, "--seed", default=DEFAULT_SEED, type=int, help="random seed")
     _add(p, "--out", help="also write the report(s) to this file")
 
@@ -251,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "--docs", required=True, help="labeled document file")
     _add(p, "--out", required=True, help="output vectors file (doc_id as the token field)")
     _add(p, "--norm", default="none", choices=ev.NORM_MODES, help="document vector normalization")
-    _add(p, "--composition", default="add", choices=("add", "bi"), help="composition function")
+    _add(p, "--composition", default="add", choices=_KINDS, help="composition function")
     return parser
 
 
@@ -273,17 +306,8 @@ def _corpus_stats(name: str, kind: str, threshold, enc: corp.EncodedCorpus, voca
 
 
 def run_preprocess(args) -> int:
+    cfg, _ = _merge_settings(args)
     _require_files(args.parallel_l1, args.parallel_l2, args.mono_l1, args.mono_l2)
-    cfg = _merge_settings(args)
-    if cfg["l1_tag"] == cfg["l2_tag"]:
-        raise ConfigError("l1 and l2 tags must differ")
-    for name in ("min_sentence_len", "unk_threshold_bi_l1", "unk_threshold_bi_l2",
-                 "unk_threshold_mono_l1", "unk_threshold_mono_l2"):
-        if cfg[name] < 1:
-            raise ConfigError(f"{name} must be >= 1, got {cfg[name]}")
-    for name in ("lowercase_cutoff_l1", "lowercase_cutoff_l2"):
-        if math.isnan(cfg[name]):
-            raise ConfigError(f"{name} must be a number, got nan")
     lowercase = cfg["lowercase"]
     min_len = cfg["min_sentence_len"]
 
@@ -374,13 +398,7 @@ def _export_tables(outdir: str, tables: TablePair, vocab_l1, vocab_l2) -> list[s
 
 
 def run_train(args) -> int:
-    settings = _merge_settings(args)
-    config = TrainConfig(**{f.name: settings[f.name] for f in fields(TrainConfig)})
-    config.validate()
-    if settings["bilingual_limit"] is not None and settings["bilingual_limit"] < 0:
-        raise ConfigError(f"bilingual_limit must be >= 0, got {settings['bilingual_limit']}")
-    if settings["checkpoint_every"] < 0:
-        raise ConfigError(f"checkpoint_every must be >= 0, got {settings['checkpoint_every']}")
+    settings, config = _merge_settings(args)
     _require_files(args.resume_from)
     data = _load_training_data(args.data_dir, settings)
 

@@ -114,6 +114,15 @@ def is_file_name(name: str) -> bool:
     return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
 
 
+def check_tokens(path, tokens) -> None:
+    """Refuse, before ``path`` is written, a token that a reader splitting
+    its line on whitespace would not read back as one field: a DataError
+    naming the token's row. A token that is no str fails in the write."""
+    for row, token in enumerate(tokens):
+        if isinstance(token, str) and token.split() != [token]:
+            raise DataError(f"{path}: row {row} has token {token!r}, which is empty or holds whitespace")
+
+
 def read_parallel(path_l1, path_l2) -> list[tuple[str, str]]:
     lines1 = read_lines(path_l1)
     lines2 = read_lines(path_l2)
@@ -166,7 +175,9 @@ class Vocabulary:
         return all(token == token.lower() for token in self.id_to_token)
 
     def save(self, path) -> None:
-        """One ``token<TAB>count`` line per id; line 0 is always ``<unk>``."""
+        """One ``token<TAB>count`` line per id; line 0 is always ``<unk>``.
+        A token that :meth:`load` refuses is refused before anything is written."""
+        check_tokens(path, self.id_to_token)
         with atomic_write(path) as f:
             for token, count in zip(self.id_to_token, self.counts):
                 f.write(f"{token}\t{int(count)}\n")

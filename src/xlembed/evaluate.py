@@ -280,12 +280,28 @@ def read_labeled_documents(path, language_tag: str = "") -> list[LabeledDocument
 
 
 def write_labeled_documents(path, docs) -> None:
+    """One line per document of raw token sentences. A document that
+    read_labeled_documents would not read back unchanged raises a
+    DataError naming its row, before anything is written."""
+    lines = []
+    for row, doc in enumerate(docs):
+        try:
+            body = US.join(doc.sentences)
+        except TypeError:
+            raise DataError(f"{path}: row {row} has a sentence that is no text")
+        line = f"{doc.label}\t{doc.doc_id}\t{body}"
+        problem = (
+            "no sentences" if not doc.sentences
+            else "a tab or line break in a field" if line.count("\t") != 2 or "\n" in line or "\r" in line
+            else "a unit separator in a sentence" if body.count(US) != len(doc.sentences) - 1
+            else "a sentence with no token" if not all(map(str.strip, doc.sentences))
+            else None
+        )
+        if problem is not None:
+            raise DataError(f"{path}: row {row} has {problem}")
+        lines.append(line + "\n")
     with atomic_write(path) as f:
-        for doc in docs:
-            body = US.join(
-                s if isinstance(s, str) else " ".join(map(str, s)) for s in doc.sentences
-            )
-            f.write(f"{doc.label}\t{doc.doc_id}\t{body}\n")
+        f.writelines(lines)
 
 
 def encode_documents(docs, vocab: Vocabulary) -> list[LabeledDocument]:

@@ -16,7 +16,7 @@ import math
 import numbers
 import os
 import zipfile
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .corpus import (
     Vocabulary,
     atomic_write,
     is_file_name,
-    numbered_lines,
     sample_bilingual_pairs,
     sample_phrase_triples,
 )
@@ -461,10 +460,15 @@ def train(
         tables, state, saved_config, start_epoch, rng = load_checkpoint(resume_from)
         # the epoch target may change on resume (finish or extend a run);
         # any other difference silently breaks replay, so reject it
-        if replace(saved_config, epochs=None) != replace(config, epochs=None):
-            raise ConfigError("checkpoint was written with a different configuration")
+        saved, given = asdict(saved_config), asdict(config)
+        differing = [f"{name} {saved[name]!r} there, {given[name]!r} here"
+                     for name in saved if name != "epochs" and saved[name] != given[name]]
+        if differing:
+            raise ConfigError(f"{resume_from}: checkpoint was written with a different configuration: "
+                              + "; ".join(differing))
         if set(tables.tags) != {tag1, tag2}:
-            raise DataError("checkpoint language tags do not match the corpora")
+            raise DataError(f"{resume_from}: checkpoint language tags do not match the corpora: "
+                            f"{tables.tags} there, {(tag1, tag2)} here")
         for tag, vocab in ((tag1, data.vocab_l1), (tag2, data.vocab_l2)):
             if len(vocab) != len(tables.by_tag(tag)):
                 raise DataError(f"{resume_from}: vocabulary size {len(vocab)} does not match "
@@ -516,24 +520,3 @@ def train(
     if checkpoint_path:
         save_checkpoint(checkpoint_path, tables, state, config, epochs, rng)
     return result
-
-
-# ---------------------------------------------------------------------------
-# config files: `key = value` lines, # comments, unknown keys are errors
-
-
-def parse_config_file(path, known_keys) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, line in numbered_lines(path, ConfigError):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in known_keys:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = value
-    return values

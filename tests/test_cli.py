@@ -326,6 +326,19 @@ class TestTrainCommand:
         assert "checkpoint epoch 3 is past the target of 2 epochs" in err
         assert ck.read_bytes() == before
 
+    def test_refused_resume_names_the_checkpoint_and_the_setting(self, prepared, tmp_path, capsys):
+        outdir = tmp_path / "model"
+        assert main(train_args(prepared, outdir)) == 0
+        ck = outdir / "checkpoint.npz"
+        before = ck.read_bytes()
+        capsys.readouterr()
+        code = main(train_args(prepared, outdir, "--resume-from", str(ck), "--learning-rate", "0.3"))
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert (f"{ck}: checkpoint was written with a different configuration: "
+                "learning_rate 0.2 there, 0.3 here") in err
+        assert ck.read_bytes() == before
+
     def test_refused_resume_keeps_earlier_log(self, prepared, tmp_path, capsys):
         outdir, log = tmp_path / "model", tmp_path / "run.log"
         assert main(train_args(prepared, outdir, "--epochs", "3", "--log-file", str(log))) == 0
@@ -893,6 +906,23 @@ def same_tags(fx, tmp):
     return preprocess_args(fx("tiny_corpus"), tmp / "out") + ["--l1-tag", "en", "--l2-tag", "en"]
 
 
+@exit_case(1, "l1 and l2 tags must differ")
+def train_same_tags_before_any_input(fx, tmp):
+    return train_args(tmp / "no_such_dir", tmp / "out", "--l1-tag", "en", "--l2-tag", "en")
+
+
+@exit_case(1, "dim must be >= 1, got 0")
+def preprocess_config_with_train_value_out_of_range(fx, tmp):
+    return preprocess_args(fx("tiny_corpus"), tmp / "out") + [
+        "--config", write_config(tmp, "dim = 0")]
+
+
+@exit_case(1, "unk_threshold_bi_l1 must be >= 1, got 0")
+def train_config_with_preprocess_value_out_of_range(fx, tmp):
+    return train_args(fx("prepared"), tmp / "out", "--config",
+                      write_config(tmp, "unk_threshold_bi_l1 = 0"))
+
+
 @exit_case(1, "{tmp}/run.cfg: bad value for 'dim'")
 def config_dim_not_a_number(fx, tmp):
     return train_args(fx("prepared"), tmp / "out", "--config", write_config(tmp, "dim = forty"))
@@ -1134,7 +1164,7 @@ class TestSettings:
         from pathlib import Path
 
         from xlembed.cli import (
-            _DEFAULT_WORDS, _DEFAULTS, _PARSERS, _SETTING_OF_KEY, CONFIG_KEYS, build_parser,
+            _DEFAULT_WORDS, _DEFAULTS, _SETTING_OF_KEY, CONFIG_KEYS, _parse, build_parser,
         )
 
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -1153,8 +1183,8 @@ class TestSettings:
             assert flag.strip("`") in flags[name], key
             if name in _DEFAULT_WORDS:
                 assert (default, _DEFAULTS[name]) == (_DEFAULT_WORDS[name], None), key
-            else:
-                assert _PARSERS.get(name, type(_DEFAULTS[name]))(default) == _DEFAULTS[name], key
+            # as a file value or a flag would give it
+            assert _parse(name, default) == _DEFAULTS[name], key
 
     def test_file_values_differ_from_defaults_and_flags(self, tmp_path):
         from dataclasses import fields
@@ -1307,7 +1337,9 @@ class TestSettings:
     @pytest.mark.parametrize("flag,word,setting", [
         ("--margin", "dim", "margin"),
         ("--epochs", "none", "epochs"),
+        ("--epochs", "auto", "epochs"),
         ("--bilingual-limit", "none", "bilingual_limit"),
+        ("--bilingual-limit", "all", "bilingual_limit"),
     ])
     def test_derived_default_flag_beats_config_file(
         self, prepared_xy, tmp_path, monkeypatch, flag, word, setting
@@ -1323,6 +1355,15 @@ class TestSettings:
         else:
             assert seen["config"] == {**CFG_TRAIN_CONFIG, setting: None}
             assert len(seen["data"].parallel) == 3
+
+    def test_derived_default_words_in_config_file(self, prepared_xy, tmp_path, monkeypatch):
+        cfg = self.write_cfg(tmp_path / "all.cfg", epochs="auto", bilingual_limit="all")
+        seen = self.capture_train(monkeypatch, [
+            "train", "--data-dir", str(prepared_xy), "--outdir", str(tmp_path / "m"),
+            "--config", str(cfg),
+        ])
+        assert seen["config"] == {**CFG_TRAIN_CONFIG, "epochs": None}
+        assert len(seen["data"].parallel) > 3
 
     @pytest.mark.parametrize(
         "command", ["preprocess", "train", "export", "nn", "classify-eval", "compose"]

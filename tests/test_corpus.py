@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xlembed import corpus as corpus_module
+from xlembed.cli import load_pipeline_config
 from xlembed.corpus import (
     EncodedCorpus,
     ParallelCorpus,
@@ -21,7 +22,6 @@ from xlembed.corpus import (
 from xlembed.embeddings import load_embeddings_text
 from xlembed.errors import AlignmentError, ConfigError, DataError
 from xlembed.evaluate import read_labeled_documents
-from xlembed.trainer import parse_config_file
 
 
 def char_class_ratio(text):
@@ -185,6 +185,14 @@ class TestVocabulary:
         with pytest.raises(DataError, match=rf"bad\.vocab:3: token {re.escape(repr(token))} "
                                             "is empty or holds whitespace$"):
             Vocabulary.load(path)
+
+    @pytest.mark.parametrize("token", ["th e", "", " ", "a\u00a0b", "a\tb"])
+    def test_save_refuses_token_that_load_refuses(self, tmp_path, token):
+        path = tmp_path / "bad.vocab"
+        with pytest.raises(DataError, match=rf"bad\.vocab: row 2 has token {re.escape(repr(token))}, "
+                                            "which is empty or holds whitespace$"):
+            Vocabulary(["foo", token], [5, 3]).save(path)
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("tokens", [["a", "b", "a"], ["a", "<unk>"]])
     def test_repeated_token_rejected(self, tokens):
@@ -507,7 +515,7 @@ BAD_BYTE_FILES = {
     EncodedCorpus.load_ids: b"1 2 3\n4 \xff 6\n",
     load_embeddings_text: b"1 2\n<unk>\xa0 0.0 0.0\n",
     read_labeled_documents: b"x\td1\tthe cat\ny\td2\tthe d\xc3g\n",
-    parse_config_file: b"dim = 4\n# caf\xe9\n",
+    load_pipeline_config: b"dim = 4\n# caf\xe9\n",
 }
 
 
@@ -517,9 +525,9 @@ class TestTextReaders:
         path = tmp_path / "bad.txt"
         path.write_bytes(BAD_BYTE_FILES[reader])
         # a config file's errors are usage errors, every other file's data errors
-        error = ConfigError if reader is parse_config_file else DataError
+        error = ConfigError if reader is load_pipeline_config else DataError
         with pytest.raises(error, match="bad.txt:2: not UTF-8 text"):
-            reader(path, *([{"dim"}] if reader is parse_config_file else []))
+            reader(path)
 
     def test_crlf_and_utf8_lines_read_as_text(self, tmp_path):
         path = tmp_path / "crlf.txt"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -340,6 +342,24 @@ class TestLabeledDocumentFiles:
         loaded = read_labeled_documents(path, "en")
         assert [d.doc_id for d in loaded] == ["doc1", "doc2"]
         assert loaded[0].sentences == ["markets rose today", "end of story"]
+
+    # documents that read_labeled_documents would not read back as they are
+    @pytest.mark.parametrize("doc, reason", [
+        (LabeledDocument("d1", "x\ty", ["a b"]), "a tab or line break in a field"),
+        (LabeledDocument("d\n1", "x", ["a b"]), "a tab or line break in a field"),
+        (LabeledDocument("d1", "x", ["a\rb"]), "a tab or line break in a field"),
+        (LabeledDocument("d1", "x", [np.array([1, 2])]), "a sentence that is no text"),
+        (LabeledDocument("d1", "x", [f"a{US}b"]), "a unit separator in a sentence"),
+        (LabeledDocument("d1", "x", ["a b", " "]), "a sentence with no token"),
+        (LabeledDocument("d1", "x", ["a b", ""]), "a sentence with no token"),
+        (LabeledDocument("d1", "x", []), "no sentences"),
+    ], ids=["tab-in-label", "line-feed-in-doc_id", "carriage-return-in-sentence", "id-array",
+            "unit-separator", "blank-sentence", "empty-sentence", "no-sentences"])
+    def test_write_refuses_what_would_not_read_back(self, tmp_path, doc, reason):
+        path = tmp_path / "docs.txt"
+        with pytest.raises(DataError, match=re.escape(f"{path}: row 1 has {reason}") + "$"):
+            write_labeled_documents(path, [LabeledDocument("d0", "x", ["a b"]), doc])
+        assert not list(tmp_path.iterdir())
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

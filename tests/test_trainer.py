@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -8,6 +9,7 @@ import pytest
 from conftest import spans
 
 from xlembed import trainer
+from xlembed.cli import load_pipeline_config
 from xlembed.corpus import (
     EncodedCorpus,
     PairBatch,
@@ -30,7 +32,6 @@ from xlembed.trainer import (
     apply_sparse_update,
     load_checkpoint,
     make_batch,
-    parse_config_file,
     proportional_mix,
     save_checkpoint,
     train,
@@ -652,6 +653,20 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="checkpoint language tags do not match the corpora"):
             train(small_data(tags=("en", "fr")), config, resume_from=path)
 
+    def test_refused_resume_names_the_checkpoint_and_what_differs(self, tmp_path):
+        config = TrainConfig(dim=4, epochs=2, batch_size=32)
+        path = tmp_path / "ck.npz"
+        train(small_data(), config, checkpoint_path=path)
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: checkpoint language tags do not match the corpora: "
+                "('en', 'de') there, ('en', 'fr') here")):
+            train(small_data(tags=("en", "fr")), config, resume_from=path)
+        other = TrainConfig(dim=4, epochs=3, batch_size=16, seed=7)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: checkpoint was written with a different configuration: "
+                "batch_size 32 there, 16 here; seed 42 there, 7 here")):
+            train(small_data(), other, resume_from=path)
+
 
 def checkpoint_members(path) -> dict[str, np.ndarray]:
     with np.load(path) as z:
@@ -851,20 +866,19 @@ class TestConfigFile:
     def test_parse_and_unknown_key(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# comment\ndim = 16\nlambda = 0.5\n")
-        values = parse_config_file(path, {"dim", "lambda"})
-        assert values == {"dim": "16", "lambda": "0.5"}
+        assert load_pipeline_config(path) == {"dim": 16, "lam": 0.5}
         path.write_text("dimension = 16\n")
-        with pytest.raises(ConfigError):
-            parse_config_file(path, {"dim"})
+        with pytest.raises(ConfigError, match=":1: unknown key 'dimension'"):
+            load_pipeline_config(path)
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("dim = 16\ndim = 8\n")
-        with pytest.raises(ConfigError):
-            parse_config_file(path, {"dim"})
+        with pytest.raises(ConfigError, match=":2: duplicate key 'dim'"):
+            load_pipeline_config(path)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("dim 16\n")
-        with pytest.raises(ConfigError):
-            parse_config_file(path, {"dim"})
+        with pytest.raises(ConfigError, match=":1: expected 'key = value'"):
+            load_pipeline_config(path)
